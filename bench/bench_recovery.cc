@@ -7,11 +7,17 @@
 // the last checkpoint; the snapshot carries the rest). It then measures
 // cold Open() time (best of three) and reports what recovery did.
 //
+// With --retracts, a second table times recovery of a checkpointed
+// store followed by a log of single-fact retracts (each its own commit
+// record): the snapshot's facts load as one large segment, so this is
+// the replay path where retracts must be batched into runs.
+//
 // Not a google-benchmark suite: each measurement is one cold Open()
 // against files just written, and the interesting output is the
 // recovery-stats breakdown next to the timing, not iteration throughput.
 //
 //   bench_recovery [--records 1000,4000,16000] [--json FILE]
+//                  [--retracts 1000,5000 [--facts 49000]]
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -104,30 +110,101 @@ RunResult RunOne(const fs::path& dir, size_t records, bool checkpoints) {
   return result;
 }
 
+// Recovery of `facts` checkpointed facts followed by `retracts` logged
+// single-fact retracts.
+struct RetractResult {
+  size_t facts = 0;
+  size_t retracts = 0;
+  double open_ms = 0;
+  size_t records_replayed = 0;
+};
+
+RetractResult RunRetracts(const fs::path& dir, size_t facts,
+                          size_t retracts) {
+  const std::string prefix =
+      (dir / ("retract-" + std::to_string(retracts))).string();
+  {
+    lsd::LooseDb db(Options(false));
+    lsd::Status opened = db.Open(prefix);
+    if (!opened.ok()) {
+      std::fprintf(stderr, "open failed: %s\n", opened.ToString().c_str());
+      std::exit(1);
+    }
+    Fill(db, facts);
+    lsd::Status checkpointed = db.Checkpoint();
+    if (!checkpointed.ok()) {
+      std::fprintf(stderr, "checkpoint failed: %s\n",
+                   checkpointed.ToString().c_str());
+      std::exit(1);
+    }
+    // Spread over the whole fact set.
+    const size_t stride = std::max<size_t>(1, facts / retracts);
+    for (size_t i = 0, n = 0; i < facts && n < retracts; i += stride, ++n) {
+      lsd::Status s = db.Retract("E-" + std::to_string(i),
+                                 "REL-" + std::to_string(i % 16),
+                                 "V-" + std::to_string(i));
+      if (!s.ok()) {
+        std::fprintf(stderr, "retract failed: %s\n", s.ToString().c_str());
+        std::exit(1);
+      }
+    }
+  }
+  RetractResult result;
+  result.facts = facts;
+  result.retracts = retracts;
+  result.open_ms = 1e18;
+  for (int rep = 0; rep < 3; ++rep) {
+    lsd::LooseDb db(Options(false));
+    auto t0 = Clock::now();
+    lsd::Status opened = db.Open(prefix);
+    double ms = std::chrono::duration<double, std::milli>(Clock::now() - t0)
+                    .count();
+    if (!opened.ok()) {
+      std::fprintf(stderr, "recovery failed: %s\n",
+                   opened.ToString().c_str());
+      std::exit(1);
+    }
+    result.open_ms = std::min(result.open_ms, ms);
+    result.records_replayed = db.last_recovery().records_replayed;
+  }
+  return result;
+}
+
+std::vector<size_t> ParseList(const std::string& list) {
+  std::vector<size_t> out;
+  size_t pos = 0;
+  while (pos < list.size()) {
+    size_t comma = list.find(',', pos);
+    out.push_back(static_cast<size_t>(
+        std::atoll(list.substr(pos, comma - pos).c_str())));
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<size_t> record_counts = {1000, 4000, 16000};
+  std::vector<size_t> retract_counts;
+  size_t retract_facts = 49000;
   std::string json_path;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--records" && i + 1 < argc) {
-      record_counts.clear();
-      std::string list = argv[++i];
-      size_t pos = 0;
-      while (pos < list.size()) {
-        size_t comma = list.find(',', pos);
-        record_counts.push_back(static_cast<size_t>(
-            std::atoll(list.substr(pos, comma - pos).c_str())));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      record_counts = ParseList(argv[++i]);
+    } else if (arg == "--retracts" && i + 1 < argc) {
+      retract_counts = ParseList(argv[++i]);
+    } else if (arg == "--facts" && i + 1 < argc) {
+      retract_facts = static_cast<size_t>(std::atoll(argv[++i]));
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--records 1000,4000,16000] [--json FILE]\n",
+                   "usage: %s [--records 1000,4000,16000] [--json FILE] "
+                   "[--retracts 1000,5000 [--facts 49000]]\n",
                    argv[0]);
       return 2;
     }
@@ -154,6 +231,18 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.wal_bytes),
                   static_cast<unsigned long long>(r.snapshot_bytes),
                   r.records_replayed, r.segments_replayed);
+    }
+  }
+
+  if (!retract_counts.empty()) {
+    std::printf("# checkpointed facts + logged single retracts: cold Open() "
+                "time (best of 3)\n");
+    std::printf("%9s %9s %10s %10s\n", "facts", "retracts", "open_ms",
+                "replayed");
+    for (size_t retracts : retract_counts) {
+      RetractResult r = RunRetracts(dir, retract_facts, retracts);
+      std::printf("%9zu %9zu %10.2f %10zu\n", r.facts, r.retracts,
+                  r.open_ms, r.records_replayed);
     }
   }
 

@@ -53,7 +53,7 @@ void BM_TripleIndexInsert(benchmark::State& state) {
 
 void BM_FrozenIndexBuild(benchmark::State& state) {
   lsd::FactStore* store = BuildStore(static_cast<size_t>(state.range(0)));
-  std::vector<lsd::Fact> facts = store->base().Match(lsd::Pattern());
+  std::vector<lsd::Fact> facts = store->base().Materialize();
   for (auto _ : state) {
     lsd::FrozenIndex frozen(facts);
     benchmark::DoNotOptimize(frozen.size());
@@ -72,10 +72,13 @@ void RunScan(benchmark::State& state, ScanVariant variant) {
   lsd::FactStore* store = BuildStore(static_cast<size_t>(state.range(0)));
   lsd::EntityId rel = *store->entities().Lookup("R0");
   lsd::Pattern p(lsd::kAnyEntity, rel, lsd::kAnyEntity);
+  const std::vector<lsd::Fact> facts = store->base().Materialize();
+  lsd::TripleIndex dynamic;
   std::unique_ptr<lsd::FrozenIndex> frozen;
-  if (variant != ScanVariant::kDynamic) {
-    frozen = std::make_unique<lsd::FrozenIndex>(
-        lsd::FrozenIndex::FromTripleIndex(store->base()));
+  if (variant == ScanVariant::kDynamic) {
+    for (const lsd::Fact& f : facts) dynamic.Insert(f);
+  } else {
+    frozen = std::make_unique<lsd::FrozenIndex>(facts);
     if (variant == ScanVariant::kFrozenGather) {
       frozen->set_rel_scan_mode(lsd::FrozenIndex::RelScanMode::kGather);
     } else if (variant == ScanVariant::kFrozenDirect) {
@@ -90,7 +93,7 @@ void RunScan(benchmark::State& state, ScanVariant variant) {
       return true;
     };
     if (variant == ScanVariant::kDynamic) {
-      store->base().ForEach(p, count);
+      dynamic.ForEach(p, count);
     } else {
       frozen->ForEach(p, count);
     }

@@ -124,6 +124,65 @@ bool LooseDb::Assert(const Fact& f) {
   return inserted;
 }
 
+namespace {
+
+// Calls fn(f) for each fact of `batch` that is in `changed` (an SRT-sorted
+// subset of it), in the batch's own order, first occurrence only: how a
+// run's effect is logged exactly as fact-by-fact calls would have.
+template <typename Fn>
+void ForEachInBatchOrder(const std::vector<Fact>& batch,
+                         const std::vector<Fact>& changed, Fn fn) {
+  std::vector<uint8_t> done(changed.size(), 0);
+  for (const Fact& f : batch) {
+    auto it = std::lower_bound(changed.begin(), changed.end(), f, OrderSrt());
+    if (it == changed.end() || *it != f) continue;
+    uint8_t& seen = done[static_cast<size_t>(it - changed.begin())];
+    if (seen != 0) continue;
+    seen = 1;
+    fn(f);
+  }
+}
+
+}  // namespace
+
+size_t LooseDb::AssertRun(const std::vector<Fact>& facts) {
+  if (options_.incremental_maintenance) {
+    // The incremental closure absorbs point updates one version step at
+    // a time.
+    size_t n = 0;
+    for (const Fact& f : facts) n += Assert(f) ? 1 : 0;
+    return n;
+  }
+  std::vector<Fact> added;
+  const size_t n = store_.AssertRun(facts, &added);
+  ForEachInBatchOrder(facts, added, [this](const Fact& f) {
+    (void)LogAssert(f);
+    if (f.relationship == kEntIn && f.target == kEntClassRel) {
+      closure_extension_ok_ = false;
+    } else if (closure_extension_ok_) {
+      closure_delta_.push_back(f);
+    }
+  });
+  return n;
+}
+
+size_t LooseDb::RetractRun(const std::vector<Fact>& facts) {
+  if (options_.incremental_maintenance) {
+    size_t n = 0;
+    for (const Fact& f : facts) n += Retract(f) ? 1 : 0;
+    return n;
+  }
+  std::vector<Fact> removed;
+  const size_t n = store_.RetractRun(facts, &removed);
+  if (n == 0) return 0;
+  ForEachInBatchOrder(facts, removed,
+                      [this](const Fact& f) { (void)LogRetract(f); });
+  // As in Retract: the extension shortcut is off until the next full
+  // recompute.
+  closure_extension_ok_ = false;
+  return n;
+}
+
 bool LooseDb::Retract(const Fact& f) {
   bool erased = store_.Retract(f);
   if (erased) {
@@ -265,9 +324,9 @@ StatusOr<const ClosureView*> LooseDb::View() const {
         }
       }
       if (!collision) {
-        auto ext = engine_.ExtendClosure(
-            rules_, closure_->base().Clone(), closure_->derived().Clone(),
-            closure_->stats(), std::move(delta), closure_options);
+        auto ext = engine_.ExtendClosure(rules_, closure_->derived().Clone(),
+                                         closure_->stats(), std::move(delta),
+                                         closure_options);
         if (ext.ok()) {
           closure_ = std::move(*ext);
           extended = true;
@@ -294,11 +353,14 @@ const ClosureStats* LooseDb::closure_stats() const {
 StatusOr<LooseDb::StorageMemory> LooseDb::MemoryUsage() const {
   LSD_RETURN_IF_ERROR(View().status());
   StorageMemory mem;
+  // The closure reads the store's index in place, so the asserted tier
+  // is counted once.
+  mem.base = store_.base().MemoryUsage();
+  mem.entity_bytes = store_.entities().MemoryUsage();
   if (options_.incremental_maintenance && incremental_ != nullptr) {
     mem.derived.overlay_bytes = incremental_->derived().MemoryUsage();
     return mem;
   }
-  mem.base = closure_->base().MemoryUsage();
   mem.derived = closure_->derived().MemoryUsage();
   return mem;
 }
@@ -339,28 +401,9 @@ Status LooseDb::CloneInto(LooseDb* out) const {
     return Status::FailedPrecondition(
         "CloneInto requires a fresh LooseDb with standard_rules = false");
   }
-  // Entities, in id order, so every id means the same thing in the clone
-  // (the same trick LoadSnapshot uses).
-  const EntityTable& src = store_.entities();
-  EntityTable& dst = out->store_.entities();
-  for (EntityId id = kNumBuiltinEntities; id < src.size(); ++id) {
-    EntityId copied = src.Kind(id) == EntityKind::kComposed
-                          ? dst.InternComposed(src.Name(id))
-                          : dst.Intern(src.Name(id));
-    if (copied != id) {
-      return Status::Internal("entity id mismatch while cloning: " +
-                              src.Name(id));
-    }
-  }
-  store_.base().ForEach(Pattern(), [&](const Fact& f) {
-    out->store_.Assert(f);
-    return true;
-  });
-  // The replay above counted only inserts; adopt the source's full
-  // mutation clock (inserts + retracts) or an assert following a
-  // retract could land the clone back on the source's version and be
-  // mistaken for a no-op by the commit path.
-  out->store_.set_version(store_.version());
+  // Entities are re-interned; the fact segments travel by pointer and
+  // only the store's overlay is copied.
+  LSD_RETURN_IF_ERROR(store_.CloneInto(&out->store_));
   out->rules_ = rules_;
   ++out->rules_version_;
   out->composition_limit_ = composition_limit_;
@@ -372,9 +415,10 @@ Status LooseDb::CloneInto(LooseDb* out) const {
     LSD_RETURN_IF_ERROR(out->definitions_.Add(std::move(copy)));
   }
   out->storage_generation_ = storage_generation_;
-  // Transplant the closure when it is current: the frozen segments
-  // travel by shared pointer and the overlays by deep copy, so the
-  // commit path inherits the seed closure instead of recomputing it —
+  // Transplant the closure when it is current: the derived tier's frozen
+  // segments travel by shared pointer and its overlay by deep copy (the
+  // base tier is the clone's own store), so the commit path inherits the
+  // seed closure instead of recomputing it —
   // View() on the clone then extends it with just the commit's new
   // facts. Skipped when either side maintains incrementally (different
   // derived representation) or the closure is stale (the clone would
@@ -384,8 +428,8 @@ Status LooseDb::CloneInto(LooseDb* out) const {
       closure_store_version_ == store_.version() &&
       closure_rules_version_ == rules_version_) {
     out->closure_ = std::make_unique<Closure>(
-        &out->store_, &out->math_, closure_->base().Clone(),
-        closure_->derived().Clone(), closure_->stats());
+        &out->store_, &out->math_, closure_->derived().Clone(),
+        closure_->stats());
     out->closure_store_version_ = out->store_.version();
     out->closure_rules_version_ = out->rules_version_;
     out->closure_delta_.clear();
@@ -404,6 +448,7 @@ StatusOr<LooseDb::CompactionPlan> LooseDb::BuildCompactionPlan() const {
   auto build = [](const DeltaIndex& tier, TierPlan* tp) {
     // One segment and no overlay is already fully compacted.
     if (tier.segment_count() <= 1 && tier.overlay_size() == 0) return;
+    tp->history = tier.history();
     tp->old_segments = tier.segments();
     FrozenIndex merged = tier.BuildMerged();
     if (merged.size() != 0) {
@@ -411,7 +456,7 @@ StatusOr<LooseDb::CompactionPlan> LooseDb::BuildCompactionPlan() const {
           std::make_shared<const FrozenIndex>(std::move(merged));
     }
   };
-  build(closure_->base(), &plan.base);
+  build(store_.base(), &plan.base);
   build(closure_->derived(), &plan.derived);
   return plan;
 }
@@ -428,6 +473,7 @@ Status LooseDb::InstallCompactedTiers(const CompactionPlan& plan) {
   // fail halfway.
   auto prefix_current = [](const TierPlan& tp, const DeltaIndex& tier) {
     if (tp.trivial()) return true;
+    if (tp.history != tier.history()) return false;
     const auto& segs = tier.segments();
     if (tp.old_segments.size() > segs.size()) return false;
     for (size_t i = 0; i < tp.old_segments.size(); ++i) {
@@ -435,7 +481,7 @@ Status LooseDb::InstallCompactedTiers(const CompactionPlan& plan) {
     }
     return true;
   };
-  if (!prefix_current(plan.base, closure_->base()) ||
+  if (!prefix_current(plan.base, store_.base()) ||
       !prefix_current(plan.derived, closure_->derived())) {
     return Status::Aborted(
         "compaction plan is stale: tier generations changed since the pin");
@@ -447,7 +493,7 @@ Status LooseDb::InstallCompactedTiers(const CompactionPlan& plan) {
     }
     return Status::OK();
   };
-  LSD_RETURN_IF_ERROR(apply(plan.base, closure_->mutable_base()));
+  LSD_RETURN_IF_ERROR(apply(plan.base, store_.mutable_base()));
   // Crash window between the two tier swaps: this runs on an unpublished
   // commit clone and writes no WAL records, so recovery (crash-torture's
   // compact.swap trials) must never see the half-swapped state.

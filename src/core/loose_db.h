@@ -75,7 +75,17 @@ class LooseDb {
   Fact Assert(std::string_view source, std::string_view relationship,
               std::string_view target);
   bool Assert(const Fact& f);
+  // Asserts a batch (any order, duplicates allowed) as one sorted run:
+  // the bulk path behind the server's assert* verb and mutation frames.
+  // Each new fact is logged and extends the cached closure exactly as
+  // Assert(f) would. Returns the number of new facts.
+  size_t AssertRun(const std::vector<Fact>& facts);
   bool Retract(const Fact& f);
+  // Retracts a batch (any order, duplicates allowed) as one run (see
+  // FactStore::RetractRun); each removed fact is logged as Retract(f)
+  // would. Returns the number of facts removed. RunLoader<LooseDb>
+  // buffers mixed assert/retract sequences into these two calls.
+  size_t RetractRun(const std::vector<Fact>& facts);
   // Retracts by names; NotFound if any name is unknown or the fact is
   // not asserted.
   Status Retract(std::string_view source, std::string_view relationship,
@@ -126,9 +136,10 @@ class LooseDb {
   // Copies facts, entities (ids preserved), rules, operator definitions
   // and the composition limit into `out`, which must be freshly
   // constructed with standard_rules = false (clean containers). The
-  // clone's caches start cold; its version counters restart. WAL
-  // attachment is not cloned. This is the serving layer's copy-on-commit
-  // path.
+  // asserted facts' frozen segments are shared by pointer and only their
+  // small overlay is copied; a current closure is transplanted the same
+  // way. WAL attachment is not cloned. This is the serving layer's
+  // copy-on-commit path.
   Status CloneInto(LooseDb* out) const;
 
   // Planner-cache observability (hit rate across this database's life).
@@ -143,16 +154,20 @@ class LooseDb {
   // Stats of the last computed closure (null before the first View()).
   const ClosureStats* closure_stats() const;
 
-  // Per-tier resident bytes of the closure's storage (experiment E9
+  // Resident bytes of the database's storage (experiment E9
   // observability; the shell's `stats` and the server's STATS verb
   // report the breakdown). Computes the closure first if it is stale.
   // In incremental-maintenance mode the derived tier is a plain triple
   // index; its bytes are reported as overlay bytes with no frozen run.
   struct StorageMemory {
-    DeltaIndex::Memory base;      // generational snapshot of the asserted
-                                  // facts (segments + overlay)
+    DeltaIndex::Memory base;      // the asserted facts: the store's
+                                  // index, which the closure reads in
+                                  // place (counted once)
     DeltaIndex::Memory derived;   // derived tier, same shape
-    size_t total() const { return base.total() + derived.total(); }
+    size_t entity_bytes = 0;      // the entity table
+    size_t total() const {
+      return base.total() + derived.total() + entity_bytes;
+    }
   };
   StatusOr<StorageMemory> MemoryUsage() const;
 
@@ -172,6 +187,10 @@ class LooseDb {
   // with no logical content, so it is a durability no-op and shipped WAL
   // bytes are unchanged for replication.
   struct TierPlan {
+    // The tier's DeltaIndex::history() at the pin: a retraction or
+    // rebuild since then makes the plan stale even when the segment
+    // prefix survived.
+    uint64_t history = 0;
     // The segment prefix the merge was built from (empty = overlay-only
     // fold) and its single-segment replacement (null when the tier had
     // nothing to fold).
@@ -180,7 +199,7 @@ class LooseDb {
     bool trivial() const { return old_segments.empty() && merged == nullptr; }
   };
   struct CompactionPlan {
-    TierPlan base;
+    TierPlan base;      // the store's asserted facts
     TierPlan derived;
     bool empty() const { return base.trivial() && derived.trivial(); }
   };

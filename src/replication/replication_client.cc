@@ -364,23 +364,39 @@ Status ReplicationClient::ApplyRecords(
   // closure is replay-safe (it only touches the fresh clone it is
   // handed), and tolerant of records already reflected in the base
   // state (a retract of a missing fact, a rule that already exists) so
-  // an overlap after a resubscribe cannot wedge the stream.
+  // an overlap after a resubscribe cannot wedge the stream. Consecutive
+  // asserts and consecutive retracts each land as one run; any other
+  // record flushes the run first, so the chunk keeps its sequential
+  // meaning.
   StatusOr<EpochPtr> committed = store_->Commit([&records](LooseDb& db) {
+    RunLoader<LooseDb> loader(&db);
+    EntityTable& e = db.entities();
     for (const WalRecord& record : records) {
-      switch (static_cast<WalOpCode>(record.op)) {
-        case WalOpCode::kAssert:
+      const auto op = static_cast<WalOpCode>(record.op);
+      if (op != WalOpCode::kAssert && op != WalOpCode::kRetract) {
+        loader.Flush();
+      }
+      switch (op) {
+        case WalOpCode::kAssert: {
           if (record.fields.size() != 3) {
             return Status::DataLoss("malformed assert record");
           }
-          db.Assert(record.fields[0], record.fields[1], record.fields[2]);
+          loader.Assert(Fact(e.Intern(record.fields[0]),
+                             e.Intern(record.fields[1]),
+                             e.Intern(record.fields[2])));
           break;
+        }
         case WalOpCode::kRetract: {
           if (record.fields.size() != 3) {
             return Status::DataLoss("malformed retract record");
           }
-          Status s = db.Retract(record.fields[0], record.fields[1],
-                                record.fields[2]);
-          if (!s.ok() && !s.IsNotFound()) return s;
+          // A fact over unknown names is not asserted: nothing to do.
+          auto src = e.Lookup(record.fields[0]);
+          auto rel = e.Lookup(record.fields[1]);
+          auto tgt = e.Lookup(record.fields[2]);
+          if (src.has_value() && rel.has_value() && tgt.has_value()) {
+            loader.Retract(Fact(*src, *rel, *tgt));
+          }
           break;
         }
         case WalOpCode::kRule: {
@@ -416,6 +432,7 @@ Status ReplicationClient::ApplyRecords(
                                   std::to_string(record.op));
       }
     }
+    loader.Flush();
     return Status::OK();
   });
   return committed.ok() ? Status::OK() : committed.status();

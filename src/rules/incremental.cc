@@ -34,7 +34,7 @@ Status IncrementalClosure::Initialize() {
 Status IncrementalClosure::Propagate(TripleIndex delta) {
   IndexSource delta_source(&delta);
   IndexSource derived_source(&derived_);
-  UnionSource full({&store_->base_source(), &derived_source, math_});
+  UnionSource full({&store_->base(), &derived_source, math_});
 
   while (!delta.empty()) {
     TripleIndex next;
@@ -112,7 +112,7 @@ Status IncrementalClosure::OnAssert(const Fact& f) {
 StatusOr<bool> IncrementalClosure::Derivable(const Fact& f) const {
   if (store_->Contains(f)) return true;
   IndexSource derived_source(&derived_);
-  UnionSource full({&store_->base_source(), &derived_source, math_});
+  UnionSource full({&store_->base(), &derived_source, math_});
   for (const Rule& rule : rules_) {
     if (!rule.enabled) continue;
     auto filter = [this, &rule](VarId v, EntityId e) {
@@ -162,7 +162,7 @@ Status IncrementalClosure::OnRetract(const Fact& f) {
   // Bodies are evaluated against the pre-deletion state: current layers
   // plus everything deleted so far.
   UnionSource pre_state(
-      {&store_->base_source(), &derived_source, &deleted_source, math_});
+      {&store_->base(), &derived_source, &deleted_source, math_});
 
   while (!delta_del.empty()) {
     TripleIndex next_del;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "rules/matcher.h"
-#include "store/frozen_index.h"
 
 namespace lsd {
 
@@ -49,7 +48,7 @@ struct RoundContext {
   const DeltaIndex* derived;
   // class_rel[e] caches store->IsClassRelationship(e) for every interned
   // entity: the var filter probes it per candidate binding, and a flat
-  // array beats a tree lookup into the store's node-based index. No new
+  // array beats a probe of every tier of the store's index. No new
   // entities are interned during a fixpoint, so the snapshot stays valid.
   const std::vector<uint8_t>* class_rel;
   // Shared cancellation token (may be null). Each worker amortizes it
@@ -275,24 +274,20 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::ComputeClosure(
     if (!rule.enabled) continue;
     LSD_RETURN_IF_ERROR(rule.Validate());
   }
-  // Read-only generational snapshot of the asserted facts: the store
-  // cannot change during the fixpoint, and frozen segments are much
-  // faster to probe than the store's node-based index.
-  DeltaIndex base(FrozenIndex::FromTripleIndex(store_->base()));
+  // The fixpoint reads the store's own index as its base tier: the
+  // store cannot change during the fixpoint.
   std::vector<Fact> delta_facts;
   if (options.strategy == ClosureOptions::Strategy::kSemiNaive) {
     // Round 1 treats every asserted fact as new.
-    delta_facts = base.Materialize();
+    delta_facts = store_->base().Materialize();
   }
-  return RunFixpoint(rules, options, std::move(base), DeltaIndex(),
-                     ClosureStats(), std::move(delta_facts),
-                     /*fire_virtual_only=*/true);
+  return RunFixpoint(rules, options, DeltaIndex(), ClosureStats(),
+                     std::move(delta_facts), /*fire_virtual_only=*/true);
 }
 
 StatusOr<std::unique_ptr<Closure>> RuleEngine::ExtendClosure(
-    const std::vector<Rule>& rules, DeltaIndex base, DeltaIndex derived,
-    ClosureStats stats, std::vector<Fact> new_facts,
-    const ClosureOptions& options) const {
+    const std::vector<Rule>& rules, DeltaIndex derived, ClosureStats stats,
+    std::vector<Fact> new_facts, const ClosureOptions& options) const {
   if (options.strategy != ClosureOptions::Strategy::kSemiNaive) {
     return Status::InvalidArgument(
         "ExtendClosure requires the semi-naive strategy");
@@ -301,19 +296,18 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::ExtendClosure(
     if (!rule.enabled) continue;
     LSD_RETURN_IF_ERROR(rule.Validate());
   }
-  // The new facts join the base tier, then seed the first semi-naive
-  // round. Virtual-only rules are skipped: they fired when the seed
-  // closure was computed, and nothing they read has changed.
-  base.InsertRun(new_facts);
-  return RunFixpoint(rules, options, std::move(base), std::move(derived),
-                     stats, std::move(new_facts),
-                     /*fire_virtual_only=*/false);
+  // The new facts are already in the store's index (the base tier);
+  // they seed the first semi-naive round. Virtual-only rules are
+  // skipped: they fired when the seed closure was computed, and nothing
+  // they read has changed.
+  return RunFixpoint(rules, options, std::move(derived), stats,
+                     std::move(new_facts), /*fire_virtual_only=*/false);
 }
 
 StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
     const std::vector<Rule>& rules, const ClosureOptions& options,
-    DeltaIndex base, DeltaIndex derived, ClosureStats stats,
-    std::vector<Fact> delta_facts, bool fire_virtual_only) const {
+    DeltaIndex derived, ClosureStats stats, std::vector<Fact> delta_facts,
+    bool fire_virtual_only) const {
   const bool semi_naive =
       options.strategy == ClosureOptions::Strategy::kSemiNaive;
   size_t num_threads = options.num_threads;
@@ -321,6 +315,7 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
 
+  const DeltaIndex& base = store_->base();
   UnionSource full({&base, &derived, math_});
   std::vector<uint8_t> class_rel(store_->entities().size());
   for (EntityId e = 0; e < class_rel.size(); ++e) {
@@ -449,8 +444,7 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
   }
 
   stats.derived_facts = derived.size();
-  return std::make_unique<Closure>(store_, math_, std::move(base),
-                                   std::move(derived), stats);
+  return std::make_unique<Closure>(store_, math_, std::move(derived), stats);
 }
 
 }  // namespace lsd

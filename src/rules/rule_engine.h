@@ -10,9 +10,10 @@
 // The semi-naive round is seed-first and parallel: the round's delta
 // facts are partitioned across worker threads, each worker unifies every
 // delta fact with every pinnable body atom and joins the remaining atoms
-// against a read-only snapshot (frozen base run + two-tier derived
-// index), accumulating candidates in a thread-local buffer; a
-// single-threaded merge then deduplicates and installs the new facts.
+// against a read-only snapshot (the store's generational index + the
+// generational derived index), accumulating candidates in a thread-local
+// buffer; a single-threaded merge then deduplicates and installs the new
+// facts.
 // The derived set is identical for every thread count, including 1.
 //
 // Facts whose relationship is a virtual comparator are special-cased on
@@ -63,42 +64,37 @@ struct ClosureStats {
   size_t candidate_facts = 0;
 };
 
-// The materialized closure. Owns two generational tiers — the columnar
-// snapshot of the asserted facts the fixpoint ran against (base) and the
-// derived fact index — and exposes the queryable view (base ∪ derived ∪
-// virtual layers). The view serves the base layer from the snapshot —
-// valid because any store mutation bumps the store version and
-// invalidates the whole closure. Both tiers are DeltaIndexes, so a
-// serving tip can extend them across epochs (RuleEngine::ExtendClosure)
-// and the background compactor can fold their accumulated segments
-// (LooseDb::InstallCompactedTiers, which uses the mutable accessors —
-// only ever on a private, unpublished clone).
+// The materialized closure. Owns the derived fact index and exposes the
+// queryable view (asserted ∪ derived ∪ virtual layers). The asserted
+// layer is the store's own generational index, read in place — there is
+// no second copy — which is valid because any store mutation bumps the
+// store version and invalidates (or extends) the whole closure. The
+// derived tier is a DeltaIndex, so a serving tip can extend it across
+// epochs (RuleEngine::ExtendClosure) and the background compactor can
+// fold its accumulated segments (LooseDb::InstallCompactedTiers, which
+// uses the mutable accessor — only ever on a private, unpublished clone).
 class Closure {
  public:
   Closure(const FactStore* store, const MathProvider* math,
-          DeltaIndex base, DeltaIndex derived, ClosureStats stats)
-      : base_(std::move(base)),
-        derived_(std::move(derived)),
+          DeltaIndex derived, ClosureStats stats)
+      : derived_(std::move(derived)),
         stats_(stats),
-        view_(store, &derived_, math, &base_) {}
+        view_(store, &derived_, math) {}
 
   Closure(const Closure&) = delete;
   Closure& operator=(const Closure&) = delete;
 
-  const DeltaIndex& base() const { return base_; }
   const DeltaIndex& derived() const { return derived_; }
   const ClosureView& view() const { return view_; }
   const ClosureStats& stats() const { return stats_; }
 
-  // In-place tier surgery for the compaction swap. The view holds stable
-  // pointers to both tiers, so swapping their segment lists under it is
+  // In-place tier surgery for the compaction swap. The view holds a
+  // stable pointer to the tier, so swapping its segment list under it is
   // safe — but only while no reader can see this closure (a commit
   // clone before publication).
-  DeltaIndex* mutable_base() { return &base_; }
   DeltaIndex* mutable_derived() { return &derived_; }
 
  private:
-  DeltaIndex base_;
   DeltaIndex derived_;
   ClosureStats stats_;
   ClosureView view_;
@@ -118,20 +114,21 @@ class RuleEngine {
       const ClosureOptions& options = ClosureOptions()) const;
 
   // Extends a previously computed closure with `new_facts` — the facts
-  // asserted since `base`/`derived` were fixed — by running semi-naive
-  // rounds whose first delta is exactly the new facts. Because the
+  // asserted since `derived` was fixed, already present in the store —
+  // by running semi-naive rounds whose first delta is exactly the new
+  // facts. Because the
   // closure is monotone in the asserted facts (the caller guarantees no
   // retraction, no rule change, and no class-relationship re-marking
   // happened since), every derivation involving at least one new fact is
   // found and everything else is already present, so the result equals
   // ComputeClosure from scratch. Preconditions (caller-checked):
-  // `new_facts` is SRT-sorted, duplicate-free, disjoint from both tiers,
+  // `new_facts` is SRT-sorted, duplicate-free, disjoint from `derived`,
   // and the strategy is kSemiNaive. `stats` is the seed closure's stats,
   // accumulated into. Virtual-only rules are skipped (they fired when
   // the seed was computed).
   StatusOr<std::unique_ptr<Closure>> ExtendClosure(
-      const std::vector<Rule>& rules, DeltaIndex base, DeltaIndex derived,
-      ClosureStats stats, std::vector<Fact> new_facts,
+      const std::vector<Rule>& rules, DeltaIndex derived, ClosureStats stats,
+      std::vector<Fact> new_facts,
       const ClosureOptions& options = ClosureOptions()) const;
 
  private:
@@ -141,8 +138,8 @@ class RuleEngine {
   // yes, extensions no).
   StatusOr<std::unique_ptr<Closure>> RunFixpoint(
       const std::vector<Rule>& rules, const ClosureOptions& options,
-      DeltaIndex base, DeltaIndex derived, ClosureStats stats,
-      std::vector<Fact> delta_facts, bool fire_virtual_only) const;
+      DeltaIndex derived, ClosureStats stats, std::vector<Fact> delta_facts,
+      bool fire_virtual_only) const;
 
   const FactStore* store_;
   const MathProvider* math_;

@@ -83,6 +83,14 @@ std::string Percent(uint64_t part, uint64_t whole) {
   return buf;
 }
 
+std::string BytesPerFact(size_t bytes, size_t facts) {
+  if (facts == 0) return "n/a";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.1f",
+                static_cast<double>(bytes) / static_cast<double>(facts));
+  return buf;
+}
+
 uint64_t SaturatingMul(uint64_t a, uint64_t b) {
   if (a != 0 && b > UINT64_MAX / a) return UINT64_MAX;
   return a * b;
@@ -195,25 +203,32 @@ StatusOr<std::string> ServerSession::CommitMutations(
   LSD_RETURN_IF_ERROR(CheckBudget());
   size_t added = 0, present = 0, removed = 0, missing = 0;
   auto epoch = store_->Commit([&](LooseDb& db) -> Status {
-    added = present = removed = missing = 0;
+    // Consecutive asserts and consecutive retracts each land as one run.
+    RunLoader<LooseDb> loader(&db);
+    size_t asserts = 0, retracts = 0, unknown = 0;
     for (const MutationOp& op : ops) {
       if (!op.retract) {
-        Fact f(db.entities().Intern(op.source),
-               db.entities().Intern(op.relationship),
-               db.entities().Intern(op.target));
-        db.Assert(f) ? ++added : ++present;
-      } else {
-        auto s = db.entities().Lookup(op.source);
-        auto r = db.entities().Lookup(op.relationship);
-        auto t = db.entities().Lookup(op.target);
-        if (!s.has_value() || !r.has_value() || !t.has_value() ||
-            !db.Retract(Fact(*s, *r, *t))) {
-          ++missing;
-        } else {
-          ++removed;
-        }
+        loader.Assert(Fact(db.entities().Intern(op.source),
+                           db.entities().Intern(op.relationship),
+                           db.entities().Intern(op.target)));
+        ++asserts;
+        continue;
       }
+      auto s = db.entities().Lookup(op.source);
+      auto r = db.entities().Lookup(op.relationship);
+      auto t = db.entities().Lookup(op.target);
+      if (!s.has_value() || !r.has_value() || !t.has_value()) {
+        ++unknown;
+        continue;
+      }
+      loader.Retract(Fact(*s, *r, *t));
+      ++retracts;
     }
+    loader.Flush();
+    added = loader.added();
+    present = asserts - added;
+    removed = loader.removed();
+    missing = unknown + retracts - removed;
     return Status::OK();
   });
   if (!epoch.ok()) return epoch.status();
@@ -341,6 +356,8 @@ StatusOr<std::string> ServerSession::RenderStats() {
   }
   auto mem = db.MemoryUsage();
   if (mem.ok()) {
+    // The base tier is the store's asserted facts, which the closure
+    // reads in place: counted once.
     out += "base tier:      " + std::to_string(mem->base.total()) +
            " bytes (frozen " + std::to_string(mem->base.frozen.total()) +
            " in " + std::to_string(mem->base.runs) + " segments, overlay " +
@@ -350,6 +367,11 @@ StatusOr<std::string> ServerSession::RenderStats() {
            " in " + std::to_string(mem->derived.runs) +
            " segments, overlay " +
            std::to_string(mem->derived.overlay_bytes) + ")\n";
+    out += "entity table:   " + std::to_string(mem->entity_bytes) +
+           " bytes\n";
+    out += "resident:       " + std::to_string(mem->total()) +
+           " bytes (" + BytesPerFact(mem->total(), db.store().size()) +
+           " B per asserted fact)\n";
   }
   out += "rules:          " + std::to_string(db.rules().size()) + "\n";
   const uint64_t hits = db.planner_hits();

@@ -1,15 +1,22 @@
 #include "store/delta_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 #include <vector>
 
 namespace lsd {
 
+uint64_t DeltaIndex::NextHistory() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 DeltaIndex DeltaIndex::Clone() const {
   DeltaIndex copy;
   copy.segments_ = segments_;  // immutable, shared by pointer
   copy.frozen_count_ = frozen_count_;
+  copy.history_ = history_;
   copy.overlay_.CopyFrom(overlay_);
   copy.overlay_hash_ = overlay_hash_;
   return copy;
@@ -52,10 +59,63 @@ void DeltaIndex::AppendMissingAll(const std::vector<Fact>& run,
   }
 }
 
-size_t DeltaIndex::InsertRun(const std::vector<Fact>& run) {
+bool DeltaIndex::Erase(const Fact& f) {
+  return EraseRun(std::vector<Fact>{f}) == 1;
+}
+
+size_t DeltaIndex::EraseRun(const std::vector<Fact>& run,
+                            std::vector<Fact>* erased_out) {
+  // Overlay facts are erased in place; the rest are looked up segment by
+  // segment, and each segment that holds any of them is rebuilt once.
+  std::vector<Fact> erased;
+  std::vector<Fact> rest;
+  for (const Fact& f : run) {
+    if (overlay_hash_.erase(f) != 0) {
+      overlay_.Erase(f);
+      erased.push_back(f);
+    } else {
+      rest.push_back(f);
+    }
+  }
+  std::vector<Fact> hit;
+  std::vector<Fact> miss;
+  for (size_t i = 0; i < segments_.size() && !rest.empty();) {
+    hit.clear();
+    miss.clear();
+    for (const Fact& f : rest) {
+      (segments_[i]->Contains(f) ? hit : miss).push_back(f);
+    }
+    if (hit.empty()) {
+      ++i;
+      continue;
+    }
+    FrozenIndex kept = segments_[i]->Without(hit);
+    frozen_count_ -= hit.size();
+    erased.insert(erased.end(), hit.begin(), hit.end());
+    rest.swap(miss);
+    if (kept.size() == 0) {
+      segments_.erase(segments_.begin() + static_cast<ptrdiff_t>(i));
+    } else {
+      segments_[i] = std::make_shared<const FrozenIndex>(std::move(kept));
+      ++i;
+    }
+  }
+  if (erased.empty()) return 0;
+  history_ = NextHistory();
+  if (erased_out != nullptr) {
+    std::sort(erased.begin(), erased.end(), OrderSrt());
+    *erased_out = std::move(erased);
+    return erased_out->size();
+  }
+  return erased.size();
+}
+
+size_t DeltaIndex::InsertRun(const std::vector<Fact>& run,
+                             std::vector<Fact>* added_out) {
   std::vector<Fact> fresh;
   fresh.reserve(run.size());
   AppendMissingAll(run, &fresh);
+  if (added_out != nullptr) *added_out = fresh;
   if (fresh.empty()) return 0;
   const size_t added = fresh.size();
   if (added < kL0MinRun) {

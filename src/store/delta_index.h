@@ -5,28 +5,31 @@
 // every tier. All tiers are kept disjoint at insert time, so
 // concatenating their streams is duplicate-free.
 //
-// This is both the rule engine's "all derived facts" container and (since
-// the generational rewrite) its asserted-base snapshot: a closure
-// fixpoint is read-mostly, and a long-lived serving tip extends the same
-// tiers across epochs, so probes should hit cache-friendly sorted arrays
-// instead of a large node-based std::set.
+// This one structure holds both of the database's stored fact sets:
+//  - the asserted facts (FactStore's only copy of them; the closure's
+//    base tier reads the same object), and
+//  - the rule engine's derived facts (a Closure's second tier).
+// A long-lived serving tip extends both across epochs, so probes hit
+// cache-friendly sorted arrays instead of node-based std::sets, and an
+// epoch clone shares every segment by pointer.
 //
 // Lifecycle (LSM-style):
-//  - InsertRun appends a new frozen segment per bulk round, then applies
-//    a geometric tail-merge (merge the newest two segments while the
+//  - InsertRun appends a new frozen segment per bulk run, then applies a
+//    geometric tail-merge (merge the newest two segments while the
 //    newest is at least half the previous one). Foreground cost is
 //    therefore proportional to the run being folded, never to the whole
-//    index — the old "overlay >= frozen/4 => rebuild everything" stall is
-//    gone (ISSUE 10 satellite 1); the merge-everything step now belongs
-//    to the background compactor.
+//    index; merging everything down is the background compactor's job.
 //  - Segments are held by shared_ptr, so Clone() shares them across
 //    epochs for free and a background compactor can pin them, build one
 //    merged CSR generation off-thread, and SwapMergedPrefix it in with an
 //    identity-checked CAS (see store/compactor.h).
-//
-// Erase is intentionally absent: the closure is monotone, and removing
-// from a frozen segment would need tombstones this use case never pays
-// for.
+//  - EraseRun (retraction, asserted tier only: the closure is monotone
+//    and is recomputed after a retraction) never mutates a segment: it
+//    rebuilds each segment holding any of the run's facts once,
+//    copy-on-write, in linear time (FrozenIndex::Without), and swaps the
+//    new pointer into this index's list only. Epochs still holding the
+//    old list keep reading the old segment. Reads never filter
+//    tombstones.
 #ifndef LSD_STORE_DELTA_INDEX_H_
 #define LSD_STORE_DELTA_INDEX_H_
 
@@ -36,7 +39,7 @@
 #include <vector>
 
 #include "store/fact.h"
-#include "store/fact_store.h"
+#include "store/fact_source.h"
 #include "store/frozen_index.h"
 #include "store/triple_index.h"
 
@@ -82,8 +85,23 @@ class DeltaIndex final : public FactSource {
   // geometric tail-merge (newest two segments merge while the newest is
   // at least half the previous), so the segment list stays logarithmic in
   // the total size while no single insert rebuilds old generations.
-  // Returns the number of facts actually added.
-  size_t InsertRun(const std::vector<Fact>& run);
+  // Returns the number of facts actually added; when `added` is non-null
+  // it receives exactly those facts, in SRT order.
+  size_t InsertRun(const std::vector<Fact>& run,
+                   std::vector<Fact>* added = nullptr);
+
+  // Removes the facts of `run` (any order, duplicate-free) from whichever
+  // tiers hold them. Returns the number removed; when `erased` is
+  // non-null it receives exactly those facts, in SRT order. Overlay facts
+  // are erased in place; each segment holding any of them costs one
+  // copy-on-write rebuild (linear in that segment, which the geometric
+  // sizing keeps bounded by the tier), however many of the run it holds,
+  // so segments shared with other epochs are never touched. Starts a new
+  // history() when anything was removed.
+  size_t EraseRun(const std::vector<Fact>& run,
+                  std::vector<Fact>* erased = nullptr);
+  // EraseRun of one fact. Returns true if it was present.
+  bool Erase(const Fact& f);
 
   // O(segments * log deg) + O(1): overlay membership is answered by a
   // hash set shadowing the overlay; each segment is one packed binary
@@ -150,6 +168,16 @@ class DeltaIndex final : public FactSource {
       const std::vector<std::shared_ptr<const FrozenIndex>>& old_segments,
       std::shared_ptr<const FrozenIndex> merged);
 
+  // Identifies this index's append-only history. Clone() and moves keep
+  // it; construction and every Erase/EraseRun that removes a fact draw a
+  // fresh value. Appends
+  // (Insert, InsertRun) and layout changes (Compact, SwapMergedPrefix)
+  // keep it. A compaction plan built from one history may only be
+  // installed into the same history: a merge of the pinned facts would
+  // otherwise resurrect a fact retracted after the pin, or install the
+  // tiers of an index that was rebuilt from scratch meanwhile.
+  uint64_t history() const { return history_; }
+
   size_t size() const { return frozen_count_ + overlay_.size(); }
   bool empty() const { return size() == 0; }
   size_t frozen_size() const { return frozen_count_; }
@@ -166,14 +194,18 @@ class DeltaIndex final : public FactSource {
   static constexpr size_t kL0MinRun = 256;
 
  private:
+
   // Appends the facts of `run` (SRT-sorted, duplicate-free) present in
   // no tier onto `out`, preserving order: AppendMissing chained across
   // the segments, then the overlay's hash probe.
   void AppendMissingAll(const std::vector<Fact>& run,
                         std::vector<Fact>* out) const;
 
+  static uint64_t NextHistory();
+
   std::vector<std::shared_ptr<const FrozenIndex>> segments_;
   size_t frozen_count_ = 0;  // sum of segment sizes
+  uint64_t history_ = NextHistory();
   TripleIndex overlay_;
   // Mirrors the overlay's contents for O(1) membership probes.
   std::unordered_set<Fact, FactHash> overlay_hash_;

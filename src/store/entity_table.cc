@@ -116,4 +116,20 @@ std::optional<double> EntityTable::NumericValue(EntityId id) const {
   return row.numeric_value;
 }
 
+size_t EntityTable::MemoryUsage() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  // A heap-allocated name costs its capacity; short names live inside
+  // the std::string itself.
+  auto heap = [](const std::string& s) {
+    return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+  };
+  size_t bytes = rows_.size() * sizeof(Row) +
+                 by_name_.bucket_count() * sizeof(void*) +
+                 by_name_.size() * (sizeof(std::pair<const std::string,
+                                                      EntityId>) +
+                                    2 * sizeof(void*));
+  for (const Row& row : rows_) bytes += 2 * heap(row.name);
+  return bytes;
+}
+
 }  // namespace lsd

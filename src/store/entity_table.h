@@ -74,6 +74,10 @@ class EntityTable {
     return id < rows_.size();
   }
 
+  // Estimated resident bytes: the rows, the name hash (buckets + nodes),
+  // and both copies of every name too long for the small-string buffer.
+  size_t MemoryUsage() const;
+
   // Number of interned entities (including builtins).
   size_t size() const {
     std::shared_lock<std::shared_mutex> lock(mu_);

@@ -1,139 +1,23 @@
 #include "store/fact_store.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace lsd {
 
-size_t FactSource::EstimateMatches(const Pattern& p) const {
-  size_t n = 0;
-  ForEach(p, [&n](const Fact&) {
-    ++n;
-    return true;
-  });
-  return n;
-}
-
-std::vector<Fact> FactSource::Match(const Pattern& p) const {
-  std::vector<Fact> out;
-  ForEach(p, [&out](const Fact& f) {
-    out.push_back(f);
-    return true;
-  });
-  return out;
-}
-
-bool UnionSource::ForEach(const Pattern& p, const FactVisitor& visit) const {
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    bool keep_going = sources_[i]->ForEach(p, [&](const Fact& f) {
-      // Skip facts already produced by an earlier layer.
-      for (size_t j = 0; j < i; ++j) {
-        if (sources_[j]->Contains(f)) return true;
-      }
-      return visit(f);
-    });
-    if (!keep_going) return false;
-  }
-  return true;
-}
-
-bool UnionSource::Contains(const Fact& f) const {
-  for (const FactSource* s : sources_) {
-    if (s->Contains(f)) return true;
-  }
-  return false;
-}
-
-bool UnionSource::Enumerable(const Pattern& p) const {
-  for (const FactSource* s : sources_) {
-    if (!s->Enumerable(p)) return false;
-  }
-  return true;
-}
-
-size_t UnionSource::EstimateMatches(const Pattern& p) const {
-  size_t n = 0;
-  for (const FactSource* s : sources_) n += s->EstimateMatches(p);
-  return n;
-}
-
-void MergeSortedIds(SortedIdSpan a, SortedIdSpan b,
-                    std::vector<EntityId>* out) {
-  out->clear();
-  out->reserve(a.size + b.size);
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size && j < b.size) {
-    const EntityId x = a.data[i];
-    const EntityId y = b.data[j];
-    if (x < y) {
-      out->push_back(x);
-      ++i;
-    } else if (y < x) {
-      out->push_back(y);
-      ++j;
-    } else {
-      out->push_back(x);
-      ++i;
-      ++j;
-    }
-  }
-  out->insert(out->end(), a.data + i, a.data + a.size);
-  out->insert(out->end(), b.data + j, b.data + b.size);
-}
-
-bool UnionSource::SortedFreeValues(const Pattern& p,
-                                   std::vector<EntityId>* scratch,
-                                   SortedIdSpan* out) const {
-  // Every layer must produce its run; overlapping values collapse in the
-  // merge, matching ForEach's cross-layer dedup.
-  std::vector<EntityId> acc;
-  std::vector<EntityId> layer_scratch;
-  std::vector<EntityId> merged;
-  bool first = true;
-  for (const FactSource* s : sources_) {
-    SortedIdSpan layer;
-    if (!s->SortedFreeValues(p, &layer_scratch, &layer)) return false;
-    if (layer.size == 0) continue;
-    if (first) {
-      acc.assign(layer.data, layer.data + layer.size);
-      first = false;
-      continue;
-    }
-    MergeSortedIds(SortedIdSpan{acc.data(), acc.size()}, layer, &merged);
-    acc.swap(merged);
-  }
-  scratch->swap(acc);
-  out->data = scratch->data();
-  out->size = scratch->size();
-  return true;
-}
-
-bool UnionSource::CanSortFreeValues(const Pattern& p) const {
-  for (const FactSource* s : sources_) {
-    if (!s->CanSortFreeValues(p)) return false;
-  }
-  return true;
-}
-
-double IndexSource::EstimateMatchesBound(const Pattern& p,
-                                         uint8_t bound_mask) const {
-  return ScaleByDistinct(static_cast<double>(index_->CountMatches(p)),
-                         bound_mask, index_->DistinctSources(),
-                         index_->DistinctRelationships(),
-                         index_->DistinctTargets());
-}
-
-double UnionSource::EstimateMatchesBound(const Pattern& p,
-                                         uint8_t bound_mask) const {
-  double n = 0;
-  for (const FactSource* s : sources_) {
-    n += s->EstimateMatchesBound(p, bound_mask);
-  }
-  return n;
-}
-
 bool FactStore::Assert(const Fact& f) {
-  bool inserted = base_.Insert(f);
+  bool inserted = facts_.Insert(f);
   if (inserted) ++version_;
   return inserted;
+}
+
+size_t FactStore::AssertRun(std::vector<Fact> facts,
+                            std::vector<Fact>* added) {
+  std::sort(facts.begin(), facts.end(), OrderSrt());
+  facts.erase(std::unique(facts.begin(), facts.end()), facts.end());
+  const size_t n = facts_.InsertRun(facts, added);
+  version_ += n;
+  return n;
 }
 
 Fact FactStore::Assert(std::string_view source,
@@ -146,9 +30,43 @@ Fact FactStore::Assert(std::string_view source,
 }
 
 bool FactStore::Retract(const Fact& f) {
-  bool erased = base_.Erase(f);
+  bool erased = facts_.Erase(f);
   if (erased) ++version_;
   return erased;
+}
+
+size_t FactStore::RetractRun(std::vector<Fact> facts,
+                             std::vector<Fact>* removed) {
+  std::sort(facts.begin(), facts.end(), OrderSrt());
+  facts.erase(std::unique(facts.begin(), facts.end()), facts.end());
+  const size_t n = facts_.EraseRun(facts, removed);
+  version_ += n;
+  return n;
+}
+
+Status FactStore::CloneInto(FactStore* out) const {
+  if (out->size() != 0 || out->entities_.size() != kNumBuiltinEntities) {
+    return Status::FailedPrecondition(
+        "FactStore::CloneInto requires an empty store");
+  }
+  // Entities, in id order, so every id means the same thing in the clone
+  // (the same trick LoadSnapshot uses).
+  EntityTable& dst = out->entities_;
+  for (EntityId id = kNumBuiltinEntities; id < entities_.size(); ++id) {
+    EntityId copied = entities_.Kind(id) == EntityKind::kComposed
+                          ? dst.InternComposed(entities_.Name(id))
+                          : dst.Intern(entities_.Name(id));
+    if (copied != id) {
+      return Status::Internal("entity id mismatch while cloning: " +
+                              entities_.Name(id));
+    }
+  }
+  out->facts_ = facts_.Clone();
+  // The full mutation clock (inserts + retracts): a clone that restarted
+  // it could land an assert-after-retract back on this store's number
+  // and be mistaken for a no-op by the commit path.
+  out->version_ = version_;
+  return Status::OK();
 }
 
 bool FactStore::IsClassRelationship(EntityId r) const {
@@ -167,7 +85,7 @@ bool FactStore::IsClassRelationship(EntityId r) const {
     case kEntIsa:
       return false;
     default:
-      return base_.Contains(Fact(r, kEntIn, kEntClassRel));
+      return facts_.Contains(Fact(r, kEntIn, kEntClassRel));
   }
 }
 

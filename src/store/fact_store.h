@@ -2,173 +2,28 @@
 // plus the entity table. Derived facts (closure) and virtual facts (math,
 // ISA axioms) are layered on top via the FactSource interface, so query
 // evaluation is uniform over "P ∪ derived ∪ virtual".
+//
+// The asserted facts live in exactly one place: a generational
+// DeltaIndex (immutable CSR segments shared by pointer + a small
+// TripleIndex overlay). The closure's base tier reads this same index,
+// and CloneInto() gives a commit epoch its own overlay while sharing
+// every segment, so one resident copy of the facts serves every epoch that
+// has not changed them. Bulk paths (text load, snapshot load, WAL
+// replay, mutation batches) hand runs to AssertRun/RetractRun — or
+// buffer them through a RunLoader — instead of going fact by fact.
 #ifndef LSD_STORE_FACT_STORE_H_
 #define LSD_STORE_FACT_STORE_H_
 
 #include <string_view>
 #include <vector>
 
+#include "store/delta_index.h"
 #include "store/entity_table.h"
 #include "store/fact.h"
-#include "store/triple_index.h"
+#include "store/fact_source.h"
 #include "util/status.h"
 
 namespace lsd {
-
-// Bit set naming which wildcard positions of a Pattern will hold a
-// single, as-yet-unknown value by the time the pattern is matched. The
-// query planner estimates an atom's cardinality before the join
-// variables feeding it are bound: the pattern carries the constants it
-// knows, the mask marks the positions earlier join steps will have
-// pinned by then.
-enum BoundMask : uint8_t {
-  kBindNone = 0,
-  kBindSource = 1,
-  kBindRelationship = 2,
-  kBindTarget = 4,
-};
-
-// Uniformity assumption: a position pinned to one (unknown) value keeps
-// 1/distinct of the matches seen with that position wildcarded.
-inline double ScaleByDistinct(double count, uint8_t bound_mask,
-                              size_t distinct_source, size_t distinct_rel,
-                              size_t distinct_target) {
-  if (bound_mask & kBindSource) {
-    count /= static_cast<double>(distinct_source ? distinct_source : 1);
-  }
-  if (bound_mask & kBindRelationship) {
-    count /= static_cast<double>(distinct_rel ? distinct_rel : 1);
-  }
-  if (bound_mask & kBindTarget) {
-    count /= static_cast<double>(distinct_target ? distinct_target : 1);
-  }
-  return count;
-}
-
-// Merges two strictly-ascending runs into one strictly-ascending run in
-// `out` (values present in both appear once).
-void MergeSortedIds(SortedIdSpan a, SortedIdSpan b,
-                    std::vector<EntityId>* out);
-
-// Read-only stream of facts matching a pattern. Implementations:
-// IndexSource (a TripleIndex), UnionSource (layering), the rule engine's
-// ClosureView, MathProvider, IsaAxiomSource.
-class FactSource {
- public:
-  virtual ~FactSource() = default;
-
-  // Streams matches; stops early (returning false) if `visit` returns
-  // false. Matches may be produced in any order but without duplicates.
-  virtual bool ForEach(const Pattern& p, const FactVisitor& visit) const = 0;
-
-  virtual bool Contains(const Fact& f) const = 0;
-
-  // Whether ForEach can produce a finite, meaningful stream for this
-  // pattern. Virtual relations (Sec 3.6 mathematical facts) are not
-  // enumerable with unbound operands; everything stored is always
-  // enumerable.
-  virtual bool Enumerable(const Pattern& p) const {
-    (void)p;
-    return true;
-  }
-
-  // Upper-bound estimate of matches, used for join ordering. Defaults to
-  // full enumeration.
-  virtual size_t EstimateMatches(const Pattern& p) const;
-
-  // Binding-pattern-aware estimate for the planner: positions in
-  // `bound_mask` are wildcards in `p` that will hold one unknown value at
-  // match time. The default ignores the mask (a safe upper bound);
-  // sources with statistics scale the wildcard count down by the number
-  // of distinct values in the masked positions.
-  virtual double EstimateMatchesBound(const Pattern& p,
-                                      uint8_t bound_mask) const {
-    (void)bound_mask;
-    return static_cast<double>(EstimateMatches(p));
-  }
-
-  // Order hook for the merge-join kernel: if `p` has exactly one free
-  // position and this source can produce the distinct values of that
-  // position in strictly ascending order, fills `out` — borrowing
-  // `scratch` for storage unless the values are already contiguous in the
-  // source — and returns true. The span stays valid only until `scratch`
-  // is next touched (or, for borrowed spans, as long as the source).
-  // Because the other two positions are bound, each value corresponds to
-  // exactly one fact of the source, so intersecting two such runs visits
-  // exactly the bindings nested-loop enumeration would. The default
-  // declines, which simply keeps callers on the nested-loop path.
-  virtual bool SortedFreeValues(const Pattern& p,
-                                std::vector<EntityId>* scratch,
-                                SortedIdSpan* out) const {
-    (void)p;
-    (void)scratch;
-    (void)out;
-    return false;
-  }
-
-  // Capability probe for SortedFreeValues: true iff a SortedFreeValues
-  // call with `p` would succeed, decided without materializing anything.
-  // The matcher asks this at every recursion node before committing to
-  // the merge-join rewrite, so it must stay allocation-free and cheap —
-  // a pathological plan revisits the question once per cross-product
-  // row. Must never return true when SortedFreeValues would decline.
-  virtual bool CanSortFreeValues(const Pattern& p) const {
-    (void)p;
-    return false;
-  }
-
-  std::vector<Fact> Match(const Pattern& p) const;
-};
-
-// FactSource over a TripleIndex it does not own.
-class IndexSource final : public FactSource {
- public:
-  explicit IndexSource(const TripleIndex* index) : index_(index) {}
-
-  bool ForEach(const Pattern& p, const FactVisitor& visit) const override {
-    return index_->ForEach(p, visit);
-  }
-  bool Contains(const Fact& f) const override {
-    return index_->Contains(f);
-  }
-  size_t EstimateMatches(const Pattern& p) const override {
-    return index_->CountMatches(p);
-  }
-  double EstimateMatchesBound(const Pattern& p,
-                              uint8_t bound_mask) const override;
-  bool SortedFreeValues(const Pattern& p, std::vector<EntityId>* scratch,
-                        SortedIdSpan* out) const override {
-    return index_->SortedFreeValues(p, scratch, out);
-  }
-  bool CanSortFreeValues(const Pattern& p) const override {
-    return p.BoundCount() == 2;
-  }
-
- private:
-  const TripleIndex* index_;
-};
-
-// Union of sources. Later sources are deduplicated against earlier ones
-// via Contains, so the stream stays duplicate-free even when layers
-// overlap.
-class UnionSource final : public FactSource {
- public:
-  explicit UnionSource(std::vector<const FactSource*> sources)
-      : sources_(std::move(sources)) {}
-
-  bool ForEach(const Pattern& p, const FactVisitor& visit) const override;
-  bool Contains(const Fact& f) const override;
-  bool Enumerable(const Pattern& p) const override;
-  size_t EstimateMatches(const Pattern& p) const override;
-  double EstimateMatchesBound(const Pattern& p,
-                              uint8_t bound_mask) const override;
-  bool SortedFreeValues(const Pattern& p, std::vector<EntityId>* scratch,
-                        SortedIdSpan* out) const override;
-  bool CanSortFreeValues(const Pattern& p) const override;
-
- private:
-  std::vector<const FactSource*> sources_;
-};
 
 class FactStore {
  public:
@@ -186,16 +41,45 @@ class FactStore {
   Fact Assert(std::string_view source, std::string_view relationship,
               std::string_view target);
 
-  // Retracts an asserted fact. Returns true if it was present.
+  // Asserts a batch as one sorted run (any order, duplicates allowed):
+  // facts already asserted are skipped, a run of at least
+  // DeltaIndex::kL0MinRun new facts becomes one frozen segment, a smaller
+  // one lands in the overlay. Returns the number of new facts; `added`,
+  // when non-null, receives them in SRT order. The version advances by
+  // one per new fact, exactly as fact-by-fact Assert would.
+  size_t AssertRun(std::vector<Fact> facts,
+                   std::vector<Fact>* added = nullptr);
+
+  // Retracts an asserted fact. Returns true if it was present. Never
+  // mutates a segment another store (an older epoch) shares; see
+  // DeltaIndex::EraseRun.
   bool Retract(const Fact& f);
 
-  bool Contains(const Fact& f) const { return base_.Contains(f); }
+  // Retracts a batch (any order, duplicates allowed) as one run: each
+  // segment holding any of its facts is rebuilt once. Returns the number
+  // of facts removed; `removed`, when non-null, receives them in SRT
+  // order. The version advances by one per removed fact, exactly as
+  // fact-by-fact Retract would.
+  size_t RetractRun(std::vector<Fact> facts,
+                    std::vector<Fact>* removed = nullptr);
 
-  const TripleIndex& base() const { return base_; }
-  size_t size() const { return base_.size(); }
+  bool Contains(const Fact& f) const { return facts_.Contains(f); }
 
-  // A FactSource over the asserted facts only.
-  const FactSource& base_source() const { return base_source_; }
+  // The asserted facts. Also a FactSource, so it joins match pipelines
+  // directly.
+  const DeltaIndex& base() const { return facts_; }
+  size_t size() const { return facts_.size(); }
+
+  // Storage-layout surgery for the background compactor's swap
+  // (LooseDb::InstallCompactedTiers), which changes no logical content
+  // and therefore leaves version() alone. Logical changes must go through
+  // Assert/Retract/AssertRun/RetractRun.
+  DeltaIndex* mutable_base() { return &facts_; }
+
+  // Copies this store into `out` (which must be empty): entities are
+  // re-interned in id order, the fact segments are shared by pointer and
+  // only the overlay is copied, and the mutation clock is adopted.
+  Status CloneInto(FactStore* out) const;
 
   // Relationship classes (Sec 2.2). A relationship is a class
   // relationship iff (r, IN, CLASS-REL) is asserted; membership IN itself
@@ -207,20 +91,67 @@ class FactStore {
   // Monotonically increasing counter bumped on every Assert/Retract;
   // closures cache against it.
   uint64_t version() const { return version_; }
-  // Adopts another store's mutation clock. Only for cloning: a clone
-  // built by replaying facts has counted the inserts but not the
-  // retracts, so two logically different states can share a count
-  // (assert-after-retract lands back on the source's number). Adopting
-  // the source clock keeps version comparisons meaningful across
-  // clones.
-  void set_version(uint64_t version) { version_ = version; }
 
  private:
   EntityTable entities_;
-  TripleIndex base_;
-  IndexSource base_source_{&base_};
+  DeltaIndex facts_;
   uint64_t version_ = 0;
 };
+
+// Buffers a sequence of asserts and retracts and applies it as runs:
+// consecutive asserts through Store::AssertRun, consecutive retracts
+// through Store::RetractRun. Switching from one kind to the other
+// flushes the buffer first, so the sequence keeps its sequential
+// meaning. This is the bulk path for everything that sees one fact at a
+// time: .lsd text and WAL replay (over a FactStore), the server's
+// mutation batches, the replication follower's apply and the workload
+// generators (over a LooseDb, which also logs and maintains its
+// closure). Flushes on destruction.
+template <typename Store>
+class RunLoader {
+ public:
+  explicit RunLoader(Store* store) : store_(store) {}
+  ~RunLoader() { Flush(); }
+
+  RunLoader(const RunLoader&) = delete;
+  RunLoader& operator=(const RunLoader&) = delete;
+
+  void Assert(const Fact& f) {
+    if (retracting_) Flush();
+    retracting_ = false;
+    pending_.push_back(f);
+  }
+  void Retract(const Fact& f) {
+    if (!retracting_) Flush();
+    retracting_ = true;
+    pending_.push_back(f);
+  }
+
+  // Applies the buffered run.
+  void Flush() {
+    if (pending_.empty()) return;
+    if (retracting_) {
+      removed_ += store_->RetractRun(std::move(pending_));
+    } else {
+      added_ += store_->AssertRun(std::move(pending_));
+    }
+    pending_.clear();
+  }
+
+  // Facts newly asserted and facts actually retracted by the runs
+  // flushed so far.
+  size_t added() const { return added_; }
+  size_t removed() const { return removed_; }
+
+ private:
+  Store* store_;
+  std::vector<Fact> pending_;
+  bool retracting_ = false;
+  size_t added_ = 0;
+  size_t removed_ = 0;
+};
+
+using FactLoader = RunLoader<FactStore>;
 
 }  // namespace lsd
 

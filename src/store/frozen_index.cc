@@ -274,6 +274,80 @@ FrozenIndex FrozenIndex::Merged(const FrozenIndex& base,
   return out;
 }
 
+FrozenIndex FrozenIndex::Without(const std::vector<Fact>& facts) const {
+  // The rows to cut, ascending (row order is SRT order), with their facts.
+  std::vector<std::pair<uint32_t, Fact>> cut;
+  cut.reserve(facts.size());
+  for (const Fact& f : facts) {
+    uint32_t row = 0;
+    if (FindRow(f, &row)) cut.emplace_back(row, f);
+  }
+  if (cut.empty()) return *this;
+  std::sort(cut.begin(), cut.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  cut.erase(std::unique(cut.begin(), cut.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.first == b.first;
+                        }),
+            cut.end());
+  // Every kept row's new id: its old id minus the cut rows before it.
+  constexpr uint32_t kCut = UINT32_MAX;
+  const size_t n = rel_.size();
+  std::vector<uint32_t> renumber(n);
+  uint32_t kept = 0;
+  for (size_t row = 0, next = 0; row < n; ++row) {
+    if (next < cut.size() && cut[next].first == row) {
+      renumber[row] = kCut;
+      ++next;
+    } else {
+      renumber[row] = kept++;
+    }
+  }
+  auto keep_rows = [&](const std::vector<EntityId>& column) {
+    std::vector<EntityId> out;
+    out.reserve(kept);
+    for (size_t row = 0; row < n; ++row) {
+      if (renumber[row] != kCut) out.push_back(column[row]);
+    }
+    return out;
+  };
+  auto keep_perm = [&](const std::vector<uint32_t>& perm) {
+    std::vector<uint32_t> out;
+    out.reserve(kept);
+    for (uint32_t row : perm) {
+      if (renumber[row] != kCut) out.push_back(renumber[row]);
+    }
+    return out;
+  };
+  // The range of id i starts earlier by the number of cut facts whose id
+  // in that position is below i.
+  auto shift_offsets = [&](const std::vector<uint32_t>& offsets,
+                           EntityId Fact::*position) {
+    std::vector<uint32_t> drop(offsets.size() + 1, 0);
+    for (const auto& c : cut) {
+      ++drop[static_cast<size_t>(c.second.*position) + 1];
+    }
+    std::vector<uint32_t> out(offsets.size());
+    uint32_t shift = 0;
+    for (size_t i = 0; i < offsets.size(); ++i) {
+      shift += drop[i];
+      out[i] = offsets[i] - shift;
+    }
+    return out;
+  };
+  FrozenIndex out;
+  out.rel_ = keep_rows(rel_);
+  out.tgt_ = keep_rows(tgt_);
+  out.src_offsets_ = shift_offsets(src_offsets_, &Fact::source);
+  out.rts_perm_ = keep_perm(rts_perm_);
+  out.rel_offsets_ = shift_offsets(rel_offsets_, &Fact::relationship);
+  out.tsr_perm_ = keep_perm(tsr_perm_);
+  out.tgt_offsets_ = shift_offsets(tgt_offsets_, &Fact::target);
+  out.rel_scan_mode_ = rel_scan_mode_;
+  out.RecomputeDistinct();
+  return out;
+}
+
 bool FrozenIndex::ForEach(const Pattern& p, const FactVisitor& visit) const {
   const int bound = p.BoundCount();
   if (bound == 3) {

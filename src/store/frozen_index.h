@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "store/fact.h"
-#include "store/fact_store.h"
+#include "store/fact_source.h"
 
 namespace lsd {
 
@@ -69,28 +69,22 @@ class FrozenIndex : public FactSource {
   // round without touching the overlay trees.
   static FrozenIndex Merged(const FrozenIndex& base, std::vector<Fact> run);
 
+  // Builds this index minus `facts` (any order; absent facts are
+  // ignored) in time linear in the index, with no sorting of the index:
+  // the columns and both permutations are copied with the cut rows left
+  // out and the later row ids renumbered, and every offset past a cut
+  // fact's source, relationship and target drops accordingly. Returns a
+  // copy of this index when none of `facts` is present. This is how a
+  // batch of retractions rewrites an immutable segment copy-on-write
+  // (DeltaIndex::EraseRun) instead of mutating one that another epoch
+  // may be reading.
+  FrozenIndex Without(const std::vector<Fact>& facts) const;
+
   // Inline: Contains is the engine's per-candidate dedup probe and runs
-  // millions of times per closure. The source offset narrows the search
-  // to one row range; the (relationship, target) pair packs into one
-  // 64-bit key, so the binary search is over deg(source), not n.
+  // millions of times per closure.
   bool Contains(const Fact& f) const override {
-    const size_t s = f.source;
-    if (s + 1 >= src_offsets_.size()) return false;
-    uint32_t lo = src_offsets_[s];
-    uint32_t hi = src_offsets_[s + 1];
-    const uint64_t key = PackRt(f.relationship, f.target);
-    while (lo < hi) {
-      const uint32_t mid = lo + (hi - lo) / 2;
-      const uint64_t k = PackRt(rel_[mid], tgt_[mid]);
-      if (k < key) {
-        lo = mid + 1;
-      } else if (k > key) {
-        hi = mid;
-      } else {
-        return true;
-      }
-    }
-    return false;
+    uint32_t row = 0;
+    return FindRow(f, &row);
   }
 
   bool ForEach(const Pattern& p, const FactVisitor& visit) const override;
@@ -149,6 +143,30 @@ class FrozenIndex : public FactSource {
  private:
   static uint64_t PackRt(EntityId r, EntityId t) {
     return (static_cast<uint64_t>(r) << 32) | t;
+  }
+
+  // The canonical row holding `f`, if any. The source offset narrows the
+  // search to one row range; the (relationship, target) pair packs into
+  // one 64-bit key, so the binary search is over deg(source), not n.
+  bool FindRow(const Fact& f, uint32_t* row) const {
+    const size_t s = f.source;
+    if (s + 1 >= src_offsets_.size()) return false;
+    uint32_t lo = src_offsets_[s];
+    uint32_t hi = src_offsets_[s + 1];
+    const uint64_t key = PackRt(f.relationship, f.target);
+    while (lo < hi) {
+      const uint32_t mid = lo + (hi - lo) / 2;
+      const uint64_t k = PackRt(rel_[mid], tgt_[mid]);
+      if (k < key) {
+        lo = mid + 1;
+      } else if (k > key) {
+        hi = mid;
+      } else {
+        *row = mid;
+        return true;
+      }
+    }
+    return false;
   }
 
   void BuildFromSorted(std::vector<Fact> facts);

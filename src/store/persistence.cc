@@ -66,7 +66,24 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(std::FILE* f) : f_(f) {}
+  explicit Reader(std::FILE* f) : f_(f) {
+    if (std::fseek(f_, 0, SEEK_END) == 0) {
+      const long end = std::ftell(f_);
+      size_ = end < 0 ? 0 : static_cast<uint64_t>(end);
+    }
+    std::rewind(f_);
+  }
+
+  // Whether `count` items of at least `min_bytes` each can still follow
+  // in the file. Counts read from disk pass through this before anything
+  // is reserved for them, so one flipped byte yields DataLoss instead of
+  // a multi-gigabyte allocation.
+  bool Fits(uint64_t count, uint64_t min_bytes) {
+    const long pos = std::ftell(f_);
+    if (pos < 0 || static_cast<uint64_t>(pos) > size_) return false;
+    const uint64_t left = size_ - static_cast<uint64_t>(pos);
+    return min_bytes == 0 || count <= left / min_bytes;
+  }
 
   bool U8(uint8_t* v) { return Raw(v, 1); }
   bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
@@ -102,6 +119,7 @@ class Reader {
 
  private:
   std::FILE* f_;
+  uint64_t size_ = 0;
   uint32_t crc_ = 0;
 };
 
@@ -189,11 +207,13 @@ uint64_t FileSizeOrZero(const std::string& path) {
   return ec ? 0 : n;
 }
 
-// Applies one checksum-valid record to the store. A false return means
-// the record is structurally valid bytes but semantically unparsable
-// (wrong field count, bad rule text): recovery salvages up to it.
+// Applies one checksum-valid record to the store; asserts and retracts
+// are buffered in `loader` and land as runs. A false return means the
+// record is structurally valid bytes but semantically unparsable (wrong
+// field count, bad rule text): recovery salvages up to it.
 bool ApplyRecord(uint8_t op, const std::vector<std::string>& fields,
-                 FactStore* store, std::vector<Rule>* rules) {
+                 FactStore* store, FactLoader* loader,
+                 std::vector<Rule>* rules) {
   switch (op) {
     case kOpAssert:
     case kOpRetract: {
@@ -202,9 +222,9 @@ bool ApplyRecord(uint8_t op, const std::vector<std::string>& fields,
       Fact fact(e.Intern(fields[0]), e.Intern(fields[1]),
                 e.Intern(fields[2]));
       if (op == kOpAssert) {
-        store->Assert(fact);
+        loader->Assert(fact);
       } else {
-        store->Retract(fact);
+        loader->Retract(fact);
       }
       return true;
     }
@@ -288,13 +308,15 @@ Status SaveSnapshot(const std::string& path, const FactStore& store,
     w.Str(entities.Name(id));
   }
 
-  w.U64(store.size());
-  store.base().ForEach(Pattern(), [&](const Fact& fact) {
+  // SRT order, whatever the index's segment layout: equal stores write
+  // equal bytes.
+  const std::vector<Fact> facts = store.base().Materialize();
+  w.U64(facts.size());
+  for (const Fact& fact : facts) {
     w.U32(fact.source);
     w.U32(fact.relationship);
     w.U32(fact.target);
-    return true;
-  });
+  }
 
   w.U32(static_cast<uint32_t>(rules.size()));
   for (const Rule& r : rules) {
@@ -346,8 +368,18 @@ Status LoadSnapshot(const std::string& path, FactStore* store,
   if (!r.U64(&gen)) return Status::DataLoss("truncated snapshot");
   if (generation != nullptr) *generation = gen;
 
+  // Minimum encoded sizes, for checking counts against the bytes left:
+  // an entity is a kind byte + a name length; a fact three ids; a rule a
+  // text length + an enabled byte.
+  constexpr uint64_t kMinEntityBytes = 1 + 4;
+  constexpr uint64_t kFactBytes = 3 * 4;
+  constexpr uint64_t kMinRuleBytes = 4 + 1;
+
   uint32_t entity_count;
   if (!r.U32(&entity_count)) return Status::DataLoss("truncated snapshot");
+  if (!r.Fits(entity_count, kMinEntityBytes)) {
+    return Status::DataLoss("snapshot entity count exceeds the file");
+  }
   EntityTable& entities = store->entities();
   entities.Reserve(entity_count);
   for (uint32_t i = 0; i < entity_count; ++i) {
@@ -368,17 +400,31 @@ Status LoadSnapshot(const std::string& path, FactStore* store,
 
   uint64_t fact_count;
   if (!r.U64(&fact_count)) return Status::DataLoss("truncated snapshot");
+  if (!r.Fits(fact_count, kFactBytes)) {
+    return Status::DataLoss("snapshot fact count exceeds the file");
+  }
+  // The facts are collected and installed as one sorted run once the
+  // trailer has authenticated them.
+  std::vector<Fact> facts;
+  facts.reserve(static_cast<size_t>(fact_count));
   for (uint64_t i = 0; i < fact_count; ++i) {
     Fact fact;
     if (!r.U32(&fact.source) || !r.U32(&fact.relationship) ||
         !r.U32(&fact.target)) {
       return Status::DataLoss("truncated snapshot facts");
     }
-    store->Assert(fact);
+    if (fact.source >= entity_count || fact.relationship >= entity_count ||
+        fact.target >= entity_count) {
+      return Status::DataLoss("snapshot fact names an unknown entity id");
+    }
+    facts.push_back(fact);
   }
 
   uint32_t rule_count;
   if (!r.U32(&rule_count)) return Status::DataLoss("truncated snapshot");
+  if (!r.Fits(rule_count, kMinRuleBytes)) {
+    return Status::DataLoss("snapshot rule count exceeds the file");
+  }
   std::vector<Rule> parsed;
   for (uint32_t i = 0; i < rule_count; ++i) {
     std::string text;
@@ -405,6 +451,7 @@ Status LoadSnapshot(const std::string& path, FactStore* store,
   if (!r.Trailer()) {
     return Status::DataLoss(path + " failed its checksum");
   }
+  store->AssertRun(std::move(facts));
   if (rules != nullptr) {
     for (Rule& rule : parsed) rules->push_back(std::move(rule));
   }
@@ -860,6 +907,7 @@ Status Wal::Replay(const std::string& base, FactStore* store,
                    uint64_t min_generation) {
   RecoveryStats local;
   RecoveryStats& s = stats != nullptr ? *stats : local;
+  FactLoader loader(store);
 
   bool damaged = false;  // once set, nothing after the damage is trusted
   for (const SegmentFile& seg : ListSegments(base)) {
@@ -965,7 +1013,7 @@ Status Wal::Replay(const std::string& base, FactStore* store,
           }
           if (parsed && pos != payload.size()) parsed = false;
         }
-        if (!parsed || !ApplyRecord(op, fields, store, rules)) {
+        if (!parsed || !ApplyRecord(op, fields, store, &loader, rules)) {
           bad_record_reason = "unparsable record";
           torn = true;
         }
@@ -999,6 +1047,7 @@ Status Wal::Replay(const std::string& base, FactStore* store,
       good_offset = new_offset;
     }
   }
+  loader.Flush();
   return Status::OK();
 }
 

@@ -64,7 +64,10 @@ Status SaveSnapshotAtomic(const std::string& path, const FactStore& store,
 // Loads a snapshot into an empty FactStore. `store` must be freshly
 // constructed (only builtins interned); rules are appended. The
 // snapshot's checkpoint generation is returned through `generation`
-// when non-null.
+// when non-null. Every count is checked against the bytes left in the
+// file before anything is reserved for it, fact ids against the entity
+// table, and the facts land as one sorted run only after the checksum
+// trailer has verified them; damage of any kind returns DataLoss.
 Status LoadSnapshot(const std::string& path, FactStore* store,
                     std::vector<Rule>* rules,
                     uint64_t* generation = nullptr);
@@ -254,6 +257,8 @@ class Wal {
   // segments are an empty log. Replay stops at the first invalid record
   // (torn tail or checksum mismatch), truncates the damage away, drops
   // any later segments, and reports everything in `stats` (optional).
+  // Consecutive asserts and consecutive retracts are applied as runs
+  // (FactLoader).
   // Only environmental failures (unlinkable files, ...) return non-OK;
   // data damage is salvaged, not fatal.
   static Status Replay(const std::string& base, FactStore* store,

@@ -186,6 +186,9 @@ StatusOr<Rule> ParseRuleLine(std::string_view line, RuleKind kind,
 Status ParseText(std::string_view text, FactStore* store,
                  std::vector<Rule>* rules,
                  DefinitionRegistry* definitions) {
+  // Facts (and @class marks) land as one sorted run at the end; nothing
+  // below reads the store's facts back.
+  FactLoader loader(store);
   size_t line_no = 0;
   for (std::string_view raw : Split(text, '\n')) {
     ++line_no;
@@ -204,7 +207,7 @@ Status ParseText(std::string_view text, FactStore* store,
         auto tmpl = ParseTemplateGroup(g, &store->entities(), &names,
                                        &constraints, false);
         if (!tmpl.ok()) return fail(tmpl.status());
-        store->Assert(tmpl->Substitute(Binding(0)));
+        loader.Assert(tmpl->Substitute(Binding(0)));
       }
       continue;
     }
@@ -212,7 +215,8 @@ Status ParseText(std::string_view text, FactStore* store,
     if (StartsWith(lowered, "@class")) {
       std::string_view name = StripWhitespace(line.substr(6));
       if (name.empty()) return fail(Status::ParseError("@class needs a name"));
-      store->MarkClassRelationship(store->entities().Intern(name));
+      loader.Assert(
+          Fact(store->entities().Intern(name), kEntIn, kEntClassRel));
       continue;
     }
     if (StartsWith(lowered, "define ")) {
@@ -240,6 +244,7 @@ Status ParseText(std::string_view text, FactStore* store,
     if (!rule.ok()) return fail(rule.status());
     if (rules != nullptr) rules->push_back(std::move(*rule));
   }
+  loader.Flush();
   return Status::OK();
 }
 
@@ -256,12 +261,12 @@ Status LoadTextFile(const std::string& path, FactStore* store,
 }
 
 std::string SerializeFacts(const FactStore& store) {
+  // SRT order, independent of the index's segment layout.
   std::string out;
-  store.base().ForEach(Pattern(), [&](const Fact& f) {
+  for (const Fact& f : store.base().Materialize()) {
     out += f.DebugString(store.entities());
     out += "\n";
-    return true;
-  });
+  }
   return out;
 }
 

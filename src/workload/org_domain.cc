@@ -59,20 +59,28 @@ OrgDomain BuildOrgDomain(LooseDb* db, const OrgOptions& options) {
     domain.records.back().salary = 200000;
   }
 
+  // The per-employee facts land as one run.
+  RunLoader<LooseDb> loader(db);
+  EntityTable& e = db->entities();
+  auto assert_fact = [&](std::string_view s, std::string_view r,
+                         std::string_view t) {
+    loader.Assert(Fact(e.Intern(s), e.Intern(r), e.Intern(t)));
+  };
   for (const OrgRecord& rec : domain.records) {
     domain.employees.push_back(rec.name);
     bool is_manager = rec.manager.empty();
-    db->Assert(rec.name, "IN", is_manager ? "MANAGER" : "EMPLOYEE");
-    db->Assert(rec.name, "WORKS-FOR", rec.department);
+    assert_fact(rec.name, "IN", is_manager ? "MANAGER" : "EMPLOYEE");
+    assert_fact(rec.name, "WORKS-FOR", rec.department);
     const char* earns =
         (synonyms && rng.Bernoulli(options.synonym_density)) ? "GETS-PAID"
                                                              : "EARNS";
-    db->Assert(rec.name, earns, "$" + std::to_string(rec.salary));
-    db->Assert("$" + std::to_string(rec.salary), "IN", "SALARY");
+    assert_fact(rec.name, earns, "$" + std::to_string(rec.salary));
+    assert_fact("$" + std::to_string(rec.salary), "IN", "SALARY");
     if (!is_manager) {
-      db->Assert(rec.name, "MANAGER", rec.manager);
+      assert_fact(rec.name, "MANAGER", rec.manager);
     }
   }
+  loader.Flush();
 
   if (options.salary_integrity_rule) {
     Status s = db->DefineRule(

@@ -13,6 +13,12 @@ size_t Taxonomy::NumNodes() const {
 Taxonomy BuildRandomTaxonomy(LooseDb* db, const TaxonomyOptions& options) {
   Taxonomy tax;
   Rng rng(options.seed);
+  // The edges land as one run.
+  RunLoader<LooseDb> loader(db);
+  EntityTable& e = db->entities();
+  auto isa = [&](const std::string& child, const std::string& parent) {
+    loader.Assert(Fact(e.Intern(child), e.Intern("ISA"), e.Intern(parent)));
+  };
   tax.levels.resize(options.depth + 1);
   for (int r = 0; r < options.num_roots; ++r) {
     tax.levels[0].push_back("T" + std::to_string(r));
@@ -21,13 +27,13 @@ Taxonomy BuildRandomTaxonomy(LooseDb* db, const TaxonomyOptions& options) {
     for (const std::string& parent : tax.levels[d - 1]) {
       for (int c = 0; c < options.fanout; ++c) {
         std::string child = parent + "." + std::to_string(c);
-        db->Assert(child, "ISA", parent);
+        isa(child, parent);
         if (options.extra_parent_prob > 0 &&
             tax.levels[d - 1].size() > 1 &&
             rng.Bernoulli(options.extra_parent_prob)) {
           const std::string& extra = tax.levels[d - 1][rng.Uniform(
               tax.levels[d - 1].size())];
-          if (extra != parent) db->Assert(child, "ISA", extra);
+          if (extra != parent) isa(child, extra);
         }
         tax.levels[d].push_back(child);
       }
@@ -55,20 +61,26 @@ std::string BuildZipfGraphImpl(AssertFn assert_fact,
   return GraphEntityName(0);  // rank-1 Zipf entity: highest degree
 }
 
-}  // namespace
-
-std::string BuildZipfGraph(FactStore* store, const GraphOptions& options) {
+// The graph lands in `store` (a FactStore or a LooseDb) as one run.
+template <typename Store>
+std::string BuildZipfGraphInto(Store* store, const GraphOptions& options) {
+  RunLoader<Store> loader(store);
+  EntityTable& e = store->entities();
   return BuildZipfGraphImpl(
-      [store](const std::string& s, const std::string& r,
-              const std::string& t) { store->Assert(s, r, t); },
+      [&](const std::string& s, const std::string& r, const std::string& t) {
+        loader.Assert(Fact(e.Intern(s), e.Intern(r), e.Intern(t)));
+      },
       options);
 }
 
+}  // namespace
+
+std::string BuildZipfGraph(FactStore* store, const GraphOptions& options) {
+  return BuildZipfGraphInto(store, options);
+}
+
 std::string BuildZipfGraph(LooseDb* db, const GraphOptions& options) {
-  return BuildZipfGraphImpl(
-      [db](const std::string& s, const std::string& r,
-           const std::string& t) { db->Assert(s, r, t); },
-      options);
+  return BuildZipfGraphInto(db, options);
 }
 
 }  // namespace lsd::workload

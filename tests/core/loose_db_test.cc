@@ -171,19 +171,65 @@ TEST(LooseDbMemoryTest, ReportsPerTierBytes) {
   db.Assert("JOHN", "WORKS-FOR", "SHIPPING");
   db.Assert("SHIPPING", "IN", "DEPARTMENT");
   db.Assert("JOHN", "IN", "EMPLOYEE");
+  // A bulk run lands in the asserted tier as a frozen segment.
+  std::vector<Fact> run;
+  for (int i = 0; i < 300; ++i) {
+    run.emplace_back(db.entities().Intern("P" + std::to_string(i)),
+                     db.entities().Intern("LIKES"),
+                     db.entities().Intern("Q" + std::to_string(i % 7)));
+  }
+  ASSERT_EQ(db.AssertRun(run), run.size());
   auto mem = db.MemoryUsage();
   ASSERT_TRUE(mem.ok());
-  // The frozen base tier holds the asserted snapshot: columns,
-  // permutations, and offset tables are all live.
+  // The base tier is the store's asserted facts: columns, permutations,
+  // and offset tables are all live.
   EXPECT_GT(mem->base.frozen.run_bytes, 0u);
   EXPECT_GT(mem->base.frozen.perm_bytes, 0u);
   EXPECT_GT(mem->base.frozen.offset_bytes, 0u);
+  // The fact-at-a-time asserts sit in the overlay.
+  EXPECT_GT(mem->base.overlay_bytes, 0u);
   // The standard rules derive facts, so the derived tier is non-empty.
   EXPECT_GT(mem->derived.total(), 0u);
-  EXPECT_EQ(mem->total(), mem->base.total() + mem->derived.total());
+  EXPECT_GT(mem->entity_bytes, 0u);
+  EXPECT_EQ(mem->total(),
+            mem->base.total() + mem->derived.total() + mem->entity_bytes);
   // Columnar CSR beats three sorted Fact arrays on the same fact set.
   EXPECT_LT(mem->base.total(),
             3 * sizeof(Fact) * db.store().size() + 4096);
+}
+
+// The asserted tier is compacted like the closure tiers, and a plan
+// pinned before a retraction must not install: its merged generation
+// still holds the retracted fact.
+TEST(LooseDbCompactionTest, RetractAfterPinMakesStorePlanStale) {
+  LooseDb db;
+  std::vector<Fact> run;
+  for (int i = 0; i < 300; ++i) {
+    run.emplace_back(db.entities().Intern("P" + std::to_string(i)),
+                     db.entities().Intern("LIKES"),
+                     db.entities().Intern("Q" + std::to_string(i % 7)));
+  }
+  db.AssertRun(run);
+  const Fact lone = db.Assert("X", "OWNS", "Y");  // an overlay fact
+  ASSERT_TRUE(db.View().ok());
+  auto plan = db.BuildCompactionPlan();
+  ASSERT_TRUE(plan.ok());
+  ASSERT_FALSE(plan->base.trivial());
+
+  ASSERT_TRUE(db.Retract(lone));
+  Status stale = db.InstallCompactedTiers(*plan);
+  EXPECT_TRUE(stale.IsAborted()) << stale.ToString();
+  EXPECT_FALSE(db.store().Contains(lone));
+
+  // A fresh plan folds the tier without changing its contents.
+  const std::vector<Fact> before = db.store().base().Materialize();
+  auto fresh = db.BuildCompactionPlan();
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(db.InstallCompactedTiers(*fresh).ok());
+  EXPECT_EQ(db.store().base().segment_count(), 1u);
+  EXPECT_EQ(db.store().base().overlay_size(), 0u);
+  EXPECT_EQ(db.store().base().Materialize(), before);
+  EXPECT_FALSE(db.Query("(X, OWNS, Y)")->truth);
 }
 
 TEST_F(LooseDbPersistenceTest, RuleTogglesSurviveRestart) {

@@ -54,6 +54,48 @@ TEST(TableFormatterTest, EmptyTableRendersHeaderOnly) {
   EXPECT_EQ(rules, 2);  // no trailing rule when there are no rows
 }
 
+// Byte-exact goldens for the renderer's edge cases: every line of a
+// table has the same width, stacked cells pad their short columns with blank
+// lines, and Split-style line semantics hold (an empty cell is one empty
+// line; a trailing newline adds an empty last line).
+TEST(TableFormatterTest, GoldenMultiLineCell) {
+  TableFormatter t({"NAME", "DEPTS"});
+  t.AddRow({"SUE", "SHIPPING\nRECEIVING"});
+  EXPECT_EQ(t.Render(),
+            "+------+-----------+\n"
+            "| NAME | DEPTS     |\n"
+            "+------+-----------+\n"
+            "| SUE  | SHIPPING  |\n"
+            "|      | RECEIVING |\n"
+            "+------+-----------+\n");
+}
+
+TEST(TableFormatterTest, GoldenEmptyCells) {
+  TableFormatter t({"A", ""});
+  t.AddRow({"", "x"});
+  t.AddRow({"", ""});
+  EXPECT_EQ(t.Render(),
+            "+---+---+\n"
+            "| A |   |\n"
+            "+---+---+\n"
+            "|   | x |\n"
+            "|   |   |\n"
+            "+---+---+\n");
+}
+
+TEST(TableFormatterTest, GoldenTrailingNewlineCells) {
+  TableFormatter t({"H\n"});
+  t.AddRow({"a\n"});
+  EXPECT_EQ(t.Render(),
+            "+---+\n"
+            "| H |\n"
+            "|   |\n"
+            "+---+\n"
+            "| a |\n"
+            "|   |\n"
+            "+---+\n");
+}
+
 TEST(FormatResultTest, PropositionRendersTruth) {
   EntityTable entities;
   ResultSet r;

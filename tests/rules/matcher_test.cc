@@ -28,7 +28,7 @@ TEST_F(MatcherTest, SingleAtomEnumerates) {
              Term::Var(0));
   Binding b(1);
   std::set<EntityId> seen;
-  Status s = MatchConjunction(store_.base_source(), {t}, b, nullptr,
+  Status s = MatchConjunction(store_.base(), {t}, b, nullptr,
                               [&](const Binding& bb) {
                                 seen.insert(bb.Get(0));
                                 return true;
@@ -47,7 +47,7 @@ TEST_F(MatcherTest, TwoAtomJoin) {
   Template c(Term::Var(1), Term::Entity(E("TAUGHT-BY")), Term::Var(2));
   Binding b(3);
   int count = 0;
-  Status s = MatchConjunction(store_.base_source(), {a, c}, b, nullptr,
+  Status s = MatchConjunction(store_.base(), {a, c}, b, nullptr,
                               [&](const Binding& bb) {
                                 EXPECT_EQ(bb.Get(0), E("TOM"));
                                 EXPECT_EQ(bb.Get(1), E("CS100"));
@@ -63,7 +63,7 @@ TEST_F(MatcherTest, BindingRestoredAfterMatch) {
   store_.Assert("A", "R", "B");
   Template t(Term::Var(0), Term::Var(1), Term::Var(2));
   Binding b(3);
-  ASSERT_TRUE(MatchConjunction(store_.base_source(), {t}, b, nullptr,
+  ASSERT_TRUE(MatchConjunction(store_.base(), {t}, b, nullptr,
                                [](const Binding&) { return true; })
                   .ok());
   EXPECT_FALSE(b.IsBound(0));
@@ -79,7 +79,7 @@ TEST_F(MatcherTest, VarFilterRejects) {
   Binding b(3);
   int count = 0;
   Status s = MatchConjunction(
-      store_.base_source(), {t}, b,
+      store_.base(), {t}, b,
       [&](VarId v, EntityId e) { return v != 1 || e != r1; },
       [&](const Binding&) {
         ++count;
@@ -96,7 +96,7 @@ TEST_F(MatcherTest, MathAtomDeferredUntilOperandsBound) {
 
   // (?X, EARNS, ?S), (?S, >, 20000): the comparison atom must run after
   // the EARNS atom binds ?S.
-  UnionSource view({&store_.base_source(), &math_});
+  UnionSource view({&store_.base(), &math_});
   Template earns(Term::Var(0), Term::Entity(E("EARNS")), Term::Var(1));
   Template gt(Term::Var(1), Term::Entity(kEntGreater),
               Term::Entity(n20000));
@@ -112,7 +112,7 @@ TEST_F(MatcherTest, MathAtomDeferredUntilOperandsBound) {
 }
 
 TEST_F(MatcherTest, UnsafeAllUnboundComparisonErrors) {
-  UnionSource view({&store_.base_source(), &math_});
+  UnionSource view({&store_.base(), &math_});
   Template gt(Term::Var(0), Term::Entity(kEntGreater), Term::Var(1));
   Binding b(2);
   Status s = MatchConjunction(view, {gt}, b, nullptr,
@@ -127,7 +127,7 @@ TEST_F(MatcherTest, EarlyStopFromVisitor) {
   Template t(Term::Entity(E("A")), Term::Entity(E("R")), Term::Var(0));
   Binding b(1);
   int count = 0;
-  Status s = MatchConjunction(store_.base_source(), {t}, b, nullptr,
+  Status s = MatchConjunction(store_.base(), {t}, b, nullptr,
                               [&](const Binding&) { return ++count < 5; });
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(count, 5);
@@ -141,7 +141,7 @@ TEST_F(MatcherTest, GroundAtomActsAsGate) {
   Template open(Term::Var(0), Term::Entity(E("Q")), Term::Var(1));
   Binding b(2);
   int count = 0;
-  ASSERT_TRUE(MatchConjunction(store_.base_source(), {open, gate}, b,
+  ASSERT_TRUE(MatchConjunction(store_.base(), {open, gate}, b,
                                nullptr,
                                [&](const Binding&) {
                                  ++count;
@@ -154,7 +154,7 @@ TEST_F(MatcherTest, GroundAtomActsAsGate) {
   Template shut(Term::Entity(E("A")), Term::Entity(E("R")),
                 Term::Entity(E("NOPE")));
   count = 0;
-  ASSERT_TRUE(MatchConjunction(store_.base_source(), {open, shut}, b,
+  ASSERT_TRUE(MatchConjunction(store_.base(), {open, shut}, b,
                                nullptr,
                                [&](const Binding&) {
                                  ++count;

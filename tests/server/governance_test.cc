@@ -191,7 +191,9 @@ TEST_F(GovernanceTest, SessionStepBudgetExhausts) {
 TEST(GovernanceShedTest, DegradedShedsExpensiveKeepsCheap) {
   SharedStore store;
   SeedCampus(&store);
-  SeedPoisonGraph(&store, /*layer=*/64);
+  // The full 192-layer graph: the un-shed run below must outlast its
+  // 50 ms deadline, which the 64-layer graph does not on optimized builds.
+  SeedPoisonGraph(&store);
   SessionRegistry registry(&store);
   GovernanceState governance;
   governance.shed_cost_threshold = 1 << 16;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "server/protocol.h"
 #include "server/session.h"
 #include "server/shared_store.h"
 #include "workload/university_domain.h"
@@ -45,6 +46,27 @@ TEST_F(SessionIsolationTest, PaperMenuComesOutOfTheServerSession) {
   EXPECT_NE(menu.find(kFreshmanSuccess), std::string::npos);
   EXPECT_NE(menu.find(kCheapSuccess), std::string::npos);
   EXPECT_NE(menu.find("You may select."), std::string::npos);
+}
+
+// A mutation frame mixing asserts and retracts commits in runs but
+// counts and ends exactly as its ops applied one by one would.
+TEST_F(SessionIsolationTest, MixedMutationBatchKeepsSequentialMeaning) {
+  ServerSession session(1, &store_);
+  const std::vector<MutationOp> ops = {
+      {false, "A", "R", "B"}, {false, "A", "R", "B"}, {false, "C", "R", "D"},
+      {true, "A", "R", "B"},  {true, "A", "R", "B"},  {true, "X", "Y", "Z"},
+      {false, "A", "R", "B"}, {true, "C", "R", "D"}};
+  auto reply = session.ExecuteBatchMutation(EncodeMutationPayload(ops));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(*reply, "added 3, present 1, removed 2, missing 2\n");
+  EpochPtr tip = store_.snapshot();
+  const EntityTable& e = tip->db().entities();
+  auto has = [&](const char* s, const char* r, const char* t) {
+    return tip->db().store().Contains(
+        Fact(*e.Lookup(s), *e.Lookup(r), *e.Lookup(t)));
+  };
+  EXPECT_TRUE(has("A", "R", "B"));
+  EXPECT_FALSE(has("C", "R", "D"));
 }
 
 TEST_F(SessionIsolationTest, HypotheticalRetractionIsSessionLocal) {

@@ -237,5 +237,183 @@ TEST_P(DeltaIndexPatternTest, AgreesWithTripleIndex) {
 INSTANTIATE_TEST_SUITE_P(AllPatterns, DeltaIndexPatternTest,
                          ::testing::Range(0, 8));
 
+TEST(DeltaIndexTest, EraseRebuildsSegmentCopyOnWrite) {
+  DeltaIndex idx;
+  std::vector<Fact> run;
+  for (EntityId i = 0; i < 2 * DeltaIndex::kL0MinRun; ++i) {
+    run.push_back(Fact(i, 1, 2));
+  }
+  idx.InsertRun(run);
+  idx.Insert(Fact(9000, 1, 2));
+  ASSERT_EQ(idx.segment_count(), 1u);
+  DeltaIndex pinned = idx.Clone();  // an older epoch's view
+  const FrozenIndex* shared = idx.segments()[0].get();
+  const uint64_t history = idx.history();
+
+  // A segment fact: the erasing index gets a new segment; the clone
+  // keeps reading the old one, untouched.
+  EXPECT_TRUE(idx.Erase(Fact(7, 1, 2)));
+  EXPECT_FALSE(idx.Contains(Fact(7, 1, 2)));
+  EXPECT_NE(idx.segments()[0].get(), shared);
+  EXPECT_EQ(pinned.segments()[0].get(), shared);
+  EXPECT_TRUE(pinned.Contains(Fact(7, 1, 2)));
+  EXPECT_EQ(idx.size() + 1, pinned.size());
+  EXPECT_EQ(idx.frozen_size() + 1, pinned.frozen_size());
+  EXPECT_NE(idx.history(), history);
+  EXPECT_EQ(pinned.history(), history);
+
+  // An overlay fact, then an absent one.
+  EXPECT_TRUE(idx.Erase(Fact(9000, 1, 2)));
+  EXPECT_FALSE(idx.Contains(Fact(9000, 1, 2)));
+  EXPECT_TRUE(pinned.Contains(Fact(9000, 1, 2)));
+  EXPECT_EQ(idx.overlay_size(), 0u);
+  const uint64_t after = idx.history();
+  EXPECT_FALSE(idx.Erase(Fact(7, 1, 2)));
+  EXPECT_EQ(idx.history(), after);  // no change, same history
+
+  // Erasing every fact of a segment drops the segment.
+  DeltaIndex small;
+  std::vector<Fact> tiny;
+  for (EntityId i = 0; i < DeltaIndex::kL0MinRun; ++i) {
+    tiny.push_back(Fact(i, 3, 4));
+  }
+  small.InsertRun(tiny);
+  ASSERT_EQ(small.segment_count(), 1u);
+  for (const Fact& f : tiny) ASSERT_TRUE(small.Erase(f));
+  EXPECT_EQ(small.segment_count(), 0u);
+  EXPECT_TRUE(small.empty());
+}
+
+TEST(DeltaIndexTest, EraseMatchesReferenceUnderRandomChurn) {
+  Rng rng(31);
+  DeltaIndex idx;
+  TripleIndex reference;
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t pick = rng.Uniform(10);
+    if (pick < 5) {
+      Fact f = RandomFact(rng);
+      EXPECT_EQ(idx.Insert(f), reference.Insert(f));
+    } else if (pick < 8) {
+      Fact f = RandomFact(rng);
+      EXPECT_EQ(idx.Erase(f), reference.Erase(f));
+    } else {
+      std::vector<Fact> run;
+      for (int i = 0; i < 300; ++i) {
+        run.push_back(Fact(static_cast<EntityId>(rng.Uniform(40)),
+                           static_cast<EntityId>(rng.Uniform(5)),
+                           static_cast<EntityId>(rng.Uniform(40))));
+      }
+      std::sort(run.begin(), run.end(), OrderSrt());
+      run.erase(std::unique(run.begin(), run.end()), run.end());
+      size_t fresh = 0;
+      for (const Fact& f : run) fresh += reference.Insert(f) ? 1 : 0;
+      EXPECT_EQ(idx.InsertRun(run), fresh);
+    }
+    ASSERT_EQ(idx.size(), reference.size()) << "step " << step;
+  }
+  EXPECT_EQ(idx.Materialize(), reference.Match(Pattern()));
+}
+
+// A retract run rebuilds each segment it touches exactly once, shares
+// the untouched ones, and never disturbs a clone that pinned the old
+// segment list.
+TEST(DeltaIndexTest, EraseRunRebuildsEachTouchedSegmentOnce) {
+  DeltaIndex idx;
+  std::vector<Fact> older;
+  for (EntityId i = 0; i < 4 * DeltaIndex::kL0MinRun; ++i) {
+    older.push_back(Fact(i, 1, 2));
+  }
+  std::vector<Fact> newer;
+  for (EntityId i = 0; i < DeltaIndex::kL0MinRun; ++i) {
+    newer.push_back(Fact(i, 5, 6));
+  }
+  idx.InsertRun(older);
+  idx.InsertRun(newer);
+  idx.Insert(Fact(9000, 1, 2));
+  ASSERT_EQ(idx.segment_count(), 2u);
+  DeltaIndex pinned = idx.Clone();
+  const FrozenIndex* first = idx.segments()[0].get();
+  const FrozenIndex* second = idx.segments()[1].get();
+  const uint64_t history = idx.history();
+
+  // Three facts of the older segment, the overlay fact and an absent
+  // fact: one rebuild of the older segment, the newer one still shared.
+  std::vector<Fact> run = {Fact(3, 1, 2), Fact(10, 1, 2), Fact(700, 1, 2),
+                           Fact(9000, 1, 2), Fact(4, 4, 4)};
+  std::sort(run.begin(), run.end(), OrderSrt());
+  std::vector<Fact> erased;
+  EXPECT_EQ(idx.EraseRun(run, &erased), 4u);
+  EXPECT_EQ(erased, (std::vector<Fact>{Fact(3, 1, 2), Fact(10, 1, 2),
+                                       Fact(700, 1, 2), Fact(9000, 1, 2)}));
+  ASSERT_EQ(idx.segment_count(), 2u);
+  EXPECT_NE(idx.segments()[0].get(), first);
+  EXPECT_EQ(idx.segments()[1].get(), second);
+  EXPECT_EQ(idx.size(), older.size() + newer.size() - 3);
+  EXPECT_EQ(idx.frozen_size(), older.size() + newer.size() - 3);
+  EXPECT_EQ(idx.overlay_size(), 0u);
+  for (const Fact& f : erased) {
+    EXPECT_FALSE(idx.Contains(f));
+    EXPECT_TRUE(pinned.Contains(f));
+  }
+  EXPECT_EQ(pinned.segments()[0].get(), first);
+  EXPECT_NE(idx.history(), history);
+  EXPECT_EQ(pinned.history(), history);
+
+  // Nothing present: no rebuild, same history.
+  const uint64_t after = idx.history();
+  const FrozenIndex* rebuilt = idx.segments()[0].get();
+  EXPECT_EQ(idx.EraseRun(run), 0u);
+  EXPECT_EQ(idx.segments()[0].get(), rebuilt);
+  EXPECT_EQ(idx.history(), after);
+
+  // A run covering a whole segment drops it.
+  EXPECT_EQ(idx.EraseRun(newer), newer.size());
+  EXPECT_EQ(idx.segment_count(), 1u);
+  std::vector<Fact> left;
+  for (const Fact& f : older) {
+    if (!std::binary_search(erased.begin(), erased.end(), f, OrderSrt())) {
+      left.push_back(f);
+    }
+  }
+  std::sort(left.begin(), left.end(), OrderSrt());
+  EXPECT_EQ(idx.Materialize(), left);
+}
+
+TEST(DeltaIndexTest, EraseRunMatchesReferenceUnderRandomChurn) {
+  Rng rng(53);
+  DeltaIndex idx;
+  TripleIndex reference;
+  auto random_run = [&rng](size_t n) {
+    std::vector<Fact> run;
+    for (size_t i = 0; i < n; ++i) {
+      run.push_back(Fact(static_cast<EntityId>(rng.Uniform(40)),
+                         static_cast<EntityId>(rng.Uniform(5)),
+                         static_cast<EntityId>(rng.Uniform(40))));
+    }
+    std::sort(run.begin(), run.end(), OrderSrt());
+    run.erase(std::unique(run.begin(), run.end()), run.end());
+    return run;
+  };
+  for (int step = 0; step < 400; ++step) {
+    if (rng.Bernoulli(0.5)) {
+      const std::vector<Fact> run = random_run(1 + rng.Uniform(600));
+      size_t fresh = 0;
+      for (const Fact& f : run) fresh += reference.Insert(f) ? 1 : 0;
+      EXPECT_EQ(idx.InsertRun(run), fresh);
+    } else {
+      const std::vector<Fact> run = random_run(1 + rng.Uniform(200));
+      std::vector<Fact> expect;
+      for (const Fact& f : run) {
+        if (reference.Erase(f)) expect.push_back(f);
+      }
+      std::vector<Fact> erased;
+      EXPECT_EQ(idx.EraseRun(run, &erased), expect.size());
+      EXPECT_EQ(erased, expect);
+    }
+    ASSERT_EQ(idx.size(), reference.size()) << "step " << step;
+  }
+  EXPECT_EQ(idx.Materialize(), reference.Match(Pattern()));
+}
+
 }  // namespace
 }  // namespace lsd

@@ -120,5 +120,66 @@ TEST(FrozenIndexTest, EarlyStop) {
   EXPECT_EQ(seen, 4);
 }
 
+// Without(facts) must be indistinguishable from a fresh build of the
+// same facts minus those, on every binding pattern and every statistic.
+TEST(FrozenIndexTest, WithoutEqualsRebuildWithoutTheFacts) {
+  Rng rng(77);
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<Fact> facts;
+    const size_t n = 1 + rng.Uniform(300);
+    for (size_t i = 0; i < n; ++i) {
+      facts.push_back(Fact(static_cast<EntityId>(rng.Uniform(20)),
+                           static_cast<EntityId>(rng.Uniform(6)),
+                           static_cast<EntityId>(rng.Uniform(20))));
+    }
+    const FrozenIndex full(facts);
+    const std::vector<Fact> all = full.Materialize();
+    // One to a few victims (repeats allowed), plus an absent fact.
+    std::vector<Fact> victims;
+    const size_t k = 1 + rng.Uniform(std::min<size_t>(all.size(), 8));
+    for (size_t i = 0; i < k; ++i) {
+      victims.push_back(all[rng.Uniform(all.size())]);
+    }
+    victims.push_back(Fact(99, 99, 99));
+    const Fact victim = victims.front();
+    std::vector<Fact> rest;
+    for (const Fact& f : all) {
+      if (std::find(victims.begin(), victims.end(), f) == victims.end()) {
+        rest.push_back(f);
+      }
+    }
+    const FrozenIndex cut = full.Without(victims);
+    const FrozenIndex want(rest);
+    ASSERT_EQ(cut.size(), want.size());
+    for (const Fact& f : victims) EXPECT_FALSE(cut.Contains(f));
+    EXPECT_EQ(cut.Materialize(), want.Materialize());
+    EXPECT_EQ(cut.DistinctSources(), want.DistinctSources());
+    EXPECT_EQ(cut.DistinctRelationships(), want.DistinctRelationships());
+    EXPECT_EQ(cut.DistinctTargets(), want.DistinctTargets());
+    // Absent facts leave a plain copy.
+    EXPECT_EQ(cut.Without(victims).Materialize(), want.Materialize());
+    for (int mask = 0; mask < 8; ++mask) {
+      Pattern p;
+      const Fact probe =
+          rng.Bernoulli(0.5) ? victim : all[rng.Uniform(all.size())];
+      if (mask & 1) p.source = probe.source;
+      if (mask & 2) p.relationship = probe.relationship;
+      if (mask & 4) p.target = probe.target;
+      std::vector<Fact> got = cut.Match(p);
+      std::vector<Fact> expect = want.Match(p);
+      EXPECT_EQ(got, expect) << "mask " << mask;
+      EXPECT_EQ(cut.CountMatches(p), want.CountMatches(p)) << "mask " << mask;
+      if (p.BoundCount() == 2) {
+        std::vector<EntityId> sa, sb;
+        SortedIdSpan a, b;
+        ASSERT_TRUE(cut.SortedFreeValues(p, &sa, &a));
+        ASSERT_TRUE(want.SortedFreeValues(p, &sb, &b));
+        EXPECT_EQ(std::vector<EntityId>(a.data, a.data + a.size),
+                  std::vector<EntityId>(b.data, b.data + b.size));
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lsd

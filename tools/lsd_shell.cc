@@ -146,6 +146,13 @@ void DoStats(LooseDb& db, const ShellGovernance& gov) {
                 "overlay %zu)\n",
                 mem->derived.total(), mem->derived.frozen.total(),
                 mem->derived.runs, mem->derived.overlay_bytes);
+    std::printf("entity table:   %zu bytes\n", mem->entity_bytes);
+    const size_t facts = db.store().size();
+    std::printf("resident:       %zu bytes (%.1f B per asserted fact)\n",
+                mem->total(),
+                facts == 0 ? 0.0
+                           : static_cast<double>(mem->total()) /
+                                 static_cast<double>(facts));
   }
   std::printf("rules:          %zu\n", db.rules().size());
   std::printf("limit(n):       %d\n", db.composition_limit());
