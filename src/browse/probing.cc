@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "util/cpus.h"
+
 namespace lsd {
 
 namespace {
@@ -342,10 +344,8 @@ StatusOr<ProbeResult> Prober::Probe(const Query& query,
         succeeded[i] = evaluated.ok() && evaluated->Success() ? 1 : 0;
       }
     };
-    size_t num_threads = options.num_threads;
-    if (num_threads == 0) {
-      num_threads = std::max(1u, std::thread::hardware_concurrency());
-    }
+    const size_t num_threads =
+        options.num_threads == 0 ? UsableCpus() : options.num_threads;
     const size_t workers = std::max<size_t>(
         1, std::min(num_threads, allowed / kMinQueriesPerWorker));
     if (workers == 1) {

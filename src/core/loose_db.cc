@@ -1,6 +1,8 @@
 #include "core/loose_db.h"
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 
 #include "rules/builtin_rules.h"
 #include "store/text_format.h"
@@ -651,8 +653,16 @@ StatusOr<RelationTable> LooseDb::Relation(
 
 Status LooseDb::LoadText(std::string_view text) {
   std::vector<Rule> new_rules;
-  LSD_RETURN_IF_ERROR(
-      ParseText(text, &store_, &new_rules, &definitions_));
+  // The facts go into the store as one sorted run. With a log or a
+  // commit capture attached they are logged as asserts as well, so a
+  // load is as durable as the same facts asserted one by one; without
+  // one, nothing is collected.
+  std::vector<Fact> added;
+  const bool logged = capture_ != nullptr || wal_.is_open();
+  Status parsed = ParseText(text, &store_, &new_rules, &definitions_,
+                            logged ? &added : nullptr);
+  for (const Fact& f : added) (void)LogAssert(f);
+  LSD_RETURN_IF_ERROR(parsed);
   for (Rule& r : new_rules) {
     LSD_RETURN_IF_ERROR(AddRule(std::move(r)));
   }
@@ -660,13 +670,11 @@ Status LooseDb::LoadText(std::string_view text) {
 }
 
 Status LooseDb::LoadTextFile(const std::string& path) {
-  std::vector<Rule> new_rules;
-  LSD_RETURN_IF_ERROR(
-      lsd::LoadTextFile(path, &store_, &new_rules, &definitions_));
-  for (Rule& r : new_rules) {
-    LSD_RETURN_IF_ERROR(AddRule(std::move(r)));
-  }
-  return Status::OK();
+  std::ifstream in(path);
+  if (!in) return Status::IoError("cannot open " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return LoadText(buffer.str());
 }
 
 Status LooseDb::Save(const std::string& path_prefix) {

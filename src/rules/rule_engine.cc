@@ -1,11 +1,13 @@
 #include "rules/rule_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "rules/matcher.h"
+#include "util/cpus.h"
 
 namespace lsd {
 
@@ -310,10 +312,9 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
     bool fire_virtual_only) const {
   const bool semi_naive =
       options.strategy == ClosureOptions::Strategy::kSemiNaive;
-  size_t num_threads = options.num_threads;
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  const auto started = std::chrono::steady_clock::now();
+  const size_t num_threads =
+      options.num_threads == 0 ? UsableCpus() : options.num_threads;
 
   const DeltaIndex& base = store_->base();
   UnionSource full({&base, &derived, math_});
@@ -390,6 +391,7 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
       const size_t n = delta_facts.size();
       const size_t workers = std::max<size_t>(
           1, std::min(num_threads, n / kMinFactsPerWorker));
+      stats.workers = std::max(stats.workers, workers);
       if (workers == 1) {
         MatchDeltaSlice(ctx, delta_facts.data(), n, &seq);
         LSD_RETURN_IF_ERROR(seq.status);
@@ -444,6 +446,9 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
   }
 
   stats.derived_facts = derived.size();
+  stats.ms += std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - started)
+                  .count();
   return std::make_unique<Closure>(store_, math_, std::move(derived), stats);
 }
 

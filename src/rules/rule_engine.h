@@ -44,9 +44,9 @@ struct ClosureOptions {
   size_t max_derived_facts = 10'000'000;
   size_t max_rounds = 100'000;
 
-  // Worker threads for the semi-naive delta match; 0 means
-  // hardware_concurrency. The result is the same for any value; small
-  // rounds stay on the calling thread regardless.
+  // Worker threads for the semi-naive delta match; 0 means one per CPU
+  // in the process's affinity mask (UsableCpus). The result is the same
+  // for any value; small rounds stay on the calling thread regardless.
   unsigned num_threads = 0;
 
   // Optional cooperative cancellation / deadline token. Borrowed; must
@@ -62,6 +62,12 @@ struct ClosureStats {
   size_t derived_facts = 0;
   // Number of head instantiations attempted (including duplicates).
   size_t candidate_facts = 0;
+  // Most worker threads any semi-naive round ran (1 = sequential), and
+  // the fixpoint's wall-clock time. Like `rounds`, both accumulate
+  // across a seed closure and its extensions; they describe the run,
+  // not the result, so they vary with thread count and machine.
+  size_t workers = 0;
+  double ms = 0;
 };
 
 // The materialized closure. Owns the derived fact index and exposes the

@@ -134,7 +134,9 @@ bool SharedStore::ApplySlots(std::vector<CommitSlot*>* slots,
   }
 
   out_records->clear();
-  if (wal_.is_open()) next->set_mutation_capture(out_records);
+  if (wal_.is_open() && !seeding_) {
+    next->set_mutation_capture(out_records);
+  }
   for (size_t i = 0; i < slots->size(); ++i) {
     Status applied = (*(*slots)[i]->mutate)(*next);
     if (!applied.ok()) {
@@ -260,10 +262,15 @@ void SharedStore::MaybeCheckpoint(const EpochPtr& tip) {
       wal_.generation_bytes() < checkpoint_bytes_) {
     return;
   }
+  // A failure only delays the next checkpoint attempt.
+  (void)CheckpointTip(tip);
+}
+
+Status SharedStore::CheckpointTip(const EpochPtr& tip) {
   // The LooseDb::Save checkpoint sequence, leader-side: publish the
   // tip's snapshot stamped G+1 (atomic rename), then swap the log to a
   // fresh G+1 segment and drop the old ones. Each step is individually
-  // crash-safe; a failure only delays the next checkpoint attempt.
+  // crash-safe.
   const uint64_t next_generation = wal_.generation() + 1;
   Status s = SaveSnapshotAtomic(save_prefix_ + ".snap", tip->db().store(),
                                 tip->db().rules(), next_generation);
@@ -275,6 +282,18 @@ void SharedStore::MaybeCheckpoint(const EpochPtr& tip) {
     std::lock_guard<std::mutex> error_lock(wal_error_mu_);
     if (wal_error_.ok()) wal_error_ = s;
   }
+  return s;
+}
+
+StatusOr<EpochPtr> SharedStore::Seed(
+    const std::function<Status(LooseDb&)>& mutate) {
+  if (!wal_.is_open()) return CommitInternal(mutate);
+  seeding_ = true;
+  auto seeded = CommitInternal(mutate);
+  seeding_ = false;
+  if (!seeded.ok()) return seeded;
+  LSD_RETURN_IF_ERROR(CheckpointTip(*seeded));
+  return seeded;
 }
 
 Status SharedStore::EnableCompaction(const CompactionOptions& options) {

@@ -187,6 +187,14 @@ class SharedStore {
   StatusOr<EpochPtr> Commit(
       const std::function<Status(LooseDb&)>& mutate);
 
+  // First-boot seeding (lsd_serve --seed/--load): applies `mutate` like
+  // Commit. On a durable store it logs nothing and then checkpoints the
+  // new tip, so the snapshot's atomic rename is the seed's one durable
+  // record: a crash before it leaves the store as it was (and the next
+  // start seeds again), none after it can lose a seeded fact or rule.
+  // Call before any concurrent use, like OpenDurable.
+  StatusOr<EpochPtr> Seed(const std::function<Status(LooseDb&)>& mutate);
+
   // Swaps in a whole replacement database as the new tip — the
   // follower-resync path (src/replication/): a snapshot streamed from
   // the primary is Recover()ed into `db`, then published here as one
@@ -282,6 +290,9 @@ class SharedStore {
                   std::unique_ptr<LooseDb>* out_db,
                   std::vector<WalRecord>* out_records, EpochPtr* out_tip);
   void MaybeCheckpoint(const EpochPtr& tip);
+  // The checkpoint itself: publishes the tip's snapshot stamped G+1
+  // (atomic rename), then swaps the log to a fresh G+1 segment.
+  Status CheckpointTip(const EpochPtr& tip);
 
   LooseDbOptions options_;
   mutable std::shared_mutex tip_mu_;  // guards the published_ pointer only
@@ -299,6 +310,7 @@ class SharedStore {
   Wal wal_;
   std::string save_prefix_;
   uint64_t checkpoint_bytes_ = 0;
+  bool seeding_ = false;  // set by Seed: its commit captures no records
   RecoveryStats last_recovery_;
   mutable std::mutex wal_error_mu_;
   Status wal_error_;  // first batch-append/checkpoint failure

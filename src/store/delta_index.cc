@@ -128,26 +128,26 @@ size_t DeltaIndex::InsertRun(const std::vector<Fact>& run,
   // A new L0 segment. The overlay is left alone: folding it belongs to
   // the background compactor, not the insert path.
   frozen_count_ += added;
-  segments_.push_back(
-      std::make_shared<const FrozenIndex>(FrozenIndex(std::move(fresh))));
+  segments_.push_back(std::make_shared<const FrozenIndex>(
+      FrozenIndex::FromSortedRun(std::move(fresh))));
   // Geometric tail-merge (the logarithmic method): keep segment sizes
   // decreasing by at least 2x oldest-to-newest, so the list stays
   // O(log n) deep while each merge touches only runs comparable to the
-  // one just inserted — never the whole index.
+  // one just inserted — never the whole index. The tiers are disjoint,
+  // so merging the two sorted runs gives a sorted, duplicate-free run
+  // for the linear-time build.
   while (segments_.size() >= 2 &&
          segments_.back()->size() * 2 >=
              segments_[segments_.size() - 2]->size()) {
-    const FrozenIndex& a = *segments_[segments_.size() - 2];
-    const FrozenIndex& b = *segments_.back();
-    std::vector<Fact> both = a.Materialize();
-    const size_t mid = both.size();
-    std::vector<Fact> newer = b.Materialize();
-    both.insert(both.end(), newer.begin(), newer.end());
-    std::inplace_merge(both.begin(), both.begin() + mid, both.end(),
-                       OrderSrt());
+    const std::vector<Fact> older =
+        segments_[segments_.size() - 2]->Materialize();
+    const std::vector<Fact> newer = segments_.back()->Materialize();
+    std::vector<Fact> both(older.size() + newer.size());
+    std::merge(older.begin(), older.end(), newer.begin(), newer.end(),
+               both.begin(), OrderSrt());
     segments_.pop_back();
-    segments_.back() =
-        std::make_shared<const FrozenIndex>(FrozenIndex(std::move(both)));
+    segments_.back() = std::make_shared<const FrozenIndex>(
+        FrozenIndex::FromSortedRun(std::move(both)));
   }
   return added;
 }
@@ -204,7 +204,7 @@ std::vector<Fact> DeltaIndex::Materialize() const {
 }
 
 FrozenIndex DeltaIndex::BuildMerged() const {
-  return FrozenIndex(Materialize());
+  return FrozenIndex::FromSortedRun(Materialize());
 }
 
 void DeltaIndex::Compact() {

@@ -56,27 +56,38 @@ inline std::pair<uint32_t, uint32_t> OffsetRange(
   return {offsets[i], offsets[i + 1]};
 }
 
-// Builds a CSR offset table for a stream of non-decreasing ids given by
-// `id_of(k)` for k in [0, n). The table covers ids [0, max_id + 1].
+// The CSR offset table of the ids `id_of(0..n-1)` (any order): entry i
+// is the number of ids below i, for i in [0, max id + 1].
 template <typename IdOf>
-std::vector<uint32_t> BuildOffsets(size_t n, const IdOf& id_of) {
-  std::vector<uint32_t> offsets;
-  if (n == 0) {
-    offsets.assign(1, 0);
-    return offsets;
-  }
-  const size_t slots = static_cast<size_t>(id_of(n - 1)) + 1;
-  offsets.reserve(slots + 1);
-  offsets.push_back(0);
+std::vector<uint32_t> CountOffsets(size_t n, const IdOf& id_of) {
+  EntityId max_id = 0;
+  for (size_t k = 0; k < n; ++k) max_id = std::max(max_id, id_of(k));
+  std::vector<uint32_t> offsets(n == 0 ? 1 : size_t{max_id} + 2, 0);
+  for (size_t k = 0; k < n; ++k) ++offsets[size_t{id_of(k)} + 1];
+  for (size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
+  return offsets;
+}
+
+// One stable counting-sort pass over dense ids: writes the rows
+// `row_at(0..n-1)` into `perm` grouped by ascending `keys[row]`, keeping
+// their given order within a key, and returns the keys' offset table.
+template <typename RowAt>
+std::vector<uint32_t> CountingPass(const std::vector<EntityId>& keys,
+                                   const RowAt& row_at,
+                                   std::vector<uint32_t>* perm) {
+  const size_t n = keys.size();
+  std::vector<uint32_t> offsets =
+      CountOffsets(n, [&keys](size_t k) { return keys[k]; });
+  // Scatter with offsets[key] as the key's write cursor; afterwards each
+  // cursor sits at the next key's start, so shifting the table up one
+  // slot restores the starts.
+  perm->resize(n);
   for (size_t k = 0; k < n; ++k) {
-    const size_t id = id_of(k);
-    while (offsets.size() <= id) {
-      offsets.push_back(static_cast<uint32_t>(k));
-    }
+    const uint32_t row = row_at(k);
+    (*perm)[offsets[keys[row]]++] = row;
   }
-  while (offsets.size() <= slots) {
-    offsets.push_back(static_cast<uint32_t>(n));
-  }
+  for (size_t i = offsets.size() - 1; i > 0; --i) offsets[i] = offsets[i - 1];
+  offsets[0] = 0;
   return offsets;
 }
 
@@ -90,42 +101,36 @@ constexpr uint64_t kDirectRelScanDensity = 64;
 
 }  // namespace
 
-void FrozenIndex::BuildFromSorted(std::vector<Fact> facts) {
-  const size_t n = facts.size();
-  rel_.reserve(n);
-  tgt_.reserve(n);
-  for (const Fact& f : facts) {
-    rel_.push_back(f.relationship);
-    tgt_.push_back(f.target);
+FrozenIndex FrozenIndex::FromSortedRun(std::vector<Fact> run) {
+  FrozenIndex out;
+  const size_t n = run.size();
+  out.rel_.reserve(n);
+  out.tgt_.reserve(n);
+  for (const Fact& f : run) {
+    out.rel_.push_back(f.relationship);
+    out.tgt_.push_back(f.target);
   }
-  src_offsets_ =
-      BuildOffsets(n, [&](size_t k) { return facts[k].source; });
+  out.src_offsets_ = CountOffsets(n, [&](size_t k) { return run[k].source; });
+  run = std::vector<Fact>();
 
-  rts_perm_.resize(n);
-  for (size_t i = 0; i < n; ++i) rts_perm_[i] = static_cast<uint32_t>(i);
-  std::sort(rts_perm_.begin(), rts_perm_.end(),
-            [&](uint32_t a, uint32_t b) {
-              return OrderRts()(facts[a], facts[b]);
-            });
-  rel_offsets_ = BuildOffsets(
-      n, [&](size_t k) { return facts[rts_perm_[k]].relationship; });
+  // The rows are in (s, r, t) order, so a stable pass by target yields
+  // (t, s, r) order, and a stable pass of that by relationship yields
+  // (r, t, s) order: both permutations in O(n + max id), no comparisons.
+  out.tgt_offsets_ = CountingPass(
+      out.tgt_, [](size_t k) { return static_cast<uint32_t>(k); },
+      &out.tsr_perm_);
+  out.rel_offsets_ = CountingPass(
+      out.rel_, [&out](size_t k) { return out.tsr_perm_[k]; },
+      &out.rts_perm_);
 
-  tsr_perm_.resize(n);
-  for (size_t i = 0; i < n; ++i) tsr_perm_[i] = static_cast<uint32_t>(i);
-  std::sort(tsr_perm_.begin(), tsr_perm_.end(),
-            [&](uint32_t a, uint32_t b) {
-              return OrderTsr()(facts[a], facts[b]);
-            });
-  tgt_offsets_ =
-      BuildOffsets(n, [&](size_t k) { return facts[tsr_perm_[k]].target; });
-
-  RecomputeDistinct();
+  out.RecomputeDistinct();
+  return out;
 }
 
 FrozenIndex::FrozenIndex(std::vector<Fact> facts) {
   std::sort(facts.begin(), facts.end(), OrderSrt());
   facts.erase(std::unique(facts.begin(), facts.end()), facts.end());
-  BuildFromSorted(std::move(facts));
+  *this = FromSortedRun(std::move(facts));
 }
 
 FrozenIndex FrozenIndex::FromTripleIndex(const TripleIndex& index) {
@@ -155,122 +160,6 @@ std::vector<Fact> FrozenIndex::Materialize() const {
       out.emplace_back(s, rel_[row], tgt_[row]);
     }
   }
-  return out;
-}
-
-FrozenIndex FrozenIndex::Merged(const FrozenIndex& base,
-                                std::vector<Fact> run) {
-  const size_t nb = base.size();
-  const size_t nr = run.size();
-  if (nb == 0) {
-    FrozenIndex out;
-    out.BuildFromSorted(std::move(run));
-    return out;
-  }
-
-  // Decode the base's source column once; the canonical walk below and
-  // the permutation merges all need it, and one flat array beats three
-  // cursor passes.
-  std::vector<EntityId> base_src(nb);
-  for (EntityId s = 0; s + 1 < base.src_offsets_.size(); ++s) {
-    for (uint32_t row = base.src_offsets_[s];
-         row < base.src_offsets_[s + 1]; ++row) {
-      base_src[row] = s;
-    }
-  }
-
-  // Canonical merge: both inputs stream in SRT order, so the output
-  // columns build in one pass while recording where each input row
-  // landed (old row -> new row), which lets the permutations merge
-  // without re-sorting the base.
-  const size_t n = nb + nr;
-  FrozenIndex out;
-  out.rel_.reserve(n);
-  out.tgt_.reserve(n);
-  std::vector<uint32_t> base_to_new(nb);
-  std::vector<uint32_t> run_to_new(nr);
-  std::vector<EntityId> new_src;
-  new_src.reserve(n);
-  {
-    size_t i = 0;
-    size_t j = 0;
-    OrderSrt less;
-    while (i < nb || j < nr) {
-      bool take_base;
-      if (i == nb) {
-        take_base = false;
-      } else if (j == nr) {
-        take_base = true;
-      } else {
-        take_base = less(Fact(base_src[i], base.rel_[i], base.tgt_[i]),
-                         run[j]);
-      }
-      const uint32_t row = static_cast<uint32_t>(out.rel_.size());
-      if (take_base) {
-        base_to_new[i] = row;
-        new_src.push_back(base_src[i]);
-        out.rel_.push_back(base.rel_[i]);
-        out.tgt_.push_back(base.tgt_[i]);
-        ++i;
-      } else {
-        run_to_new[j] = row;
-        new_src.push_back(run[j].source);
-        out.rel_.push_back(run[j].relationship);
-        out.tgt_.push_back(run[j].target);
-        ++j;
-      }
-    }
-  }
-  out.src_offsets_ = BuildOffsets(n, [&](size_t k) { return new_src[k]; });
-
-  // Permutation merges: the base's perm already streams its rows in the
-  // right order, and sorting just the run (small) gives the other
-  // stream; two-way merge on the decoded keys.
-  auto merge_perm = [&](const std::vector<uint32_t>& base_perm,
-                        const std::vector<uint32_t>& run_order,
-                        const auto& less) {
-    std::vector<uint32_t> perm;
-    perm.reserve(n);
-    size_t i = 0;
-    size_t j = 0;
-    while (i < nb || j < nr) {
-      bool take_base;
-      if (i == nb) {
-        take_base = false;
-      } else if (j == nr) {
-        take_base = true;
-      } else {
-        const uint32_t row = base_perm[i];
-        take_base = less(Fact(base_src[row], base.rel_[row], base.tgt_[row]),
-                         run[run_order[j]]);
-      }
-      if (take_base) {
-        perm.push_back(base_to_new[base_perm[i++]]);
-      } else {
-        perm.push_back(run_to_new[run_order[j++]]);
-      }
-    }
-    return perm;
-  };
-
-  std::vector<uint32_t> run_order(nr);
-  for (size_t j = 0; j < nr; ++j) run_order[j] = static_cast<uint32_t>(j);
-
-  std::sort(run_order.begin(), run_order.end(), [&](uint32_t a, uint32_t b) {
-    return OrderRts()(run[a], run[b]);
-  });
-  out.rts_perm_ = merge_perm(base.rts_perm_, run_order, OrderRts());
-  out.rel_offsets_ =
-      BuildOffsets(n, [&](size_t k) { return out.rel_[out.rts_perm_[k]]; });
-
-  std::sort(run_order.begin(), run_order.end(), [&](uint32_t a, uint32_t b) {
-    return OrderTsr()(run[a], run[b]);
-  });
-  out.tsr_perm_ = merge_perm(base.tsr_perm_, run_order, OrderTsr());
-  out.tgt_offsets_ =
-      BuildOffsets(n, [&](size_t k) { return out.tgt_[out.tsr_perm_[k]]; });
-
-  out.RecomputeDistinct();
   return out;
 }
 

@@ -54,20 +54,19 @@ class FrozenIndex : public FactSource {
   // An empty run.
   FrozenIndex() = default;
 
-  // Builds from an arbitrary fact list; duplicates are removed.
+  // Builds from an arbitrary fact list: sorts it and removes duplicates,
+  // then builds as FromSortedRun.
   explicit FrozenIndex(std::vector<Fact> facts);
 
   // Convenience: freezes the contents of a dynamic index.
   static FrozenIndex FromTripleIndex(const TripleIndex& index);
 
-  // Builds base ∪ run in linear time (plus sorting the run, which is
-  // assumed small): the canonical columns are a two-way merge, and the
-  // permutations are rebuilt by merging the base's permutation stream
-  // with the sorted run through an old-row -> new-row mapping. `run`
-  // must be SRT-sorted, duplicate-free, and disjoint from `base` — this
-  // is the bulk-load path DeltaIndex uses to install a whole closure
-  // round without touching the overlay trees.
-  static FrozenIndex Merged(const FrozenIndex& base, std::vector<Fact> run);
+  // Builds from an SRT-sorted, duplicate-free run without re-sorting it:
+  // the canonical columns are the run itself, and both permutations come
+  // from stable counting passes over the dense ids, in O(n + max id).
+  // Every bulk path that already holds a sorted run (DeltaIndex's L0
+  // runs, tail merges and BuildMerged) builds through this.
+  static FrozenIndex FromSortedRun(std::vector<Fact> run);
 
   // Builds this index minus `facts` (any order; absent facts are
   // ignored) in time linear in the index, with no sorting of the index:
@@ -141,6 +140,10 @@ class FrozenIndex : public FactSource {
   size_t size() const { return rel_.size(); }
 
  private:
+  // Reads the raw arrays, so the layout tests can compare two builds
+  // array for array.
+  friend class FrozenIndexTestPeer;
+
   static uint64_t PackRt(EntityId r, EntityId t) {
     return (static_cast<uint64_t>(r) << 32) | t;
   }
@@ -169,7 +172,6 @@ class FrozenIndex : public FactSource {
     return false;
   }
 
-  void BuildFromSorted(std::vector<Fact> facts);
   void RecomputeDistinct();
 
   // Canonical SRT-sorted store (CSR over the source).

@@ -1,7 +1,6 @@
 #include "store/text_format.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "util/string_util.h"
 
@@ -184,17 +183,19 @@ StatusOr<Rule> ParseRuleLine(std::string_view line, RuleKind kind,
 }
 
 Status ParseText(std::string_view text, FactStore* store,
-                 std::vector<Rule>* rules,
-                 DefinitionRegistry* definitions) {
-  // Facts (and @class marks) land as one sorted run at the end; nothing
-  // below reads the store's facts back.
-  FactLoader loader(store);
+                 std::vector<Rule>* rules, DefinitionRegistry* definitions,
+                 std::vector<Fact>* added) {
+  // Facts (and @class marks) land as one sorted run once parsing stops,
+  // also at a failing line; nothing below reads the store's facts back.
+  std::vector<Fact> facts;
+  auto apply = [&] { store->AssertRun(std::move(facts), added); };
   size_t line_no = 0;
   for (std::string_view raw : Split(text, '\n')) {
     ++line_no;
     std::string_view line = StripWhitespace(raw);
     if (line.empty() || line.front() == '#') continue;
     auto fail = [&](const Status& s) {
+      apply();
       return Status::ParseError("line " + std::to_string(line_no) + ": " +
                                 s.message());
     };
@@ -207,7 +208,7 @@ Status ParseText(std::string_view text, FactStore* store,
         auto tmpl = ParseTemplateGroup(g, &store->entities(), &names,
                                        &constraints, false);
         if (!tmpl.ok()) return fail(tmpl.status());
-        loader.Assert(tmpl->Substitute(Binding(0)));
+        facts.push_back(tmpl->Substitute(Binding(0)));
       }
       continue;
     }
@@ -215,7 +216,7 @@ Status ParseText(std::string_view text, FactStore* store,
     if (StartsWith(lowered, "@class")) {
       std::string_view name = StripWhitespace(line.substr(6));
       if (name.empty()) return fail(Status::ParseError("@class needs a name"));
-      loader.Assert(
+      facts.push_back(
           Fact(store->entities().Intern(name), kEntIn, kEntClassRel));
       continue;
     }
@@ -244,20 +245,8 @@ Status ParseText(std::string_view text, FactStore* store,
     if (!rule.ok()) return fail(rule.status());
     if (rules != nullptr) rules->push_back(std::move(*rule));
   }
-  loader.Flush();
+  apply();
   return Status::OK();
-}
-
-Status LoadTextFile(const std::string& path, FactStore* store,
-                    std::vector<Rule>* rules,
-                    DefinitionRegistry* definitions) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::IoError("cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseText(buffer.str(), store, rules, definitions);
 }
 
 std::string SerializeFacts(const FactStore& store) {

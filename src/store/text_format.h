@@ -33,15 +33,13 @@ StatusOr<Rule> ParseRuleLine(std::string_view line, RuleKind kind,
 // Parses a whole .lsd document, asserting facts into `store` and
 // appending rules to `rules`. Lines of the form
 // "define name(?P) := formula" are installed into `definitions` when it
-// is non-null (else rejected). Errors carry 1-based line numbers.
+// is non-null (else rejected). Errors carry 1-based line numbers; the
+// facts before the failing line are still asserted. `added`, when
+// non-null, receives the facts that were new to the store, in SRT order.
 Status ParseText(std::string_view text, FactStore* store,
                  std::vector<Rule>* rules,
-                 DefinitionRegistry* definitions = nullptr);
-
-// Reads and parses a .lsd file.
-Status LoadTextFile(const std::string& path, FactStore* store,
-                    std::vector<Rule>* rules,
-                    DefinitionRegistry* definitions = nullptr);
+                 DefinitionRegistry* definitions = nullptr,
+                 std::vector<Fact>* added = nullptr);
 
 // Renders all asserted facts, one per line, in SRT order.
 std::string SerializeFacts(const FactStore& store);

@@ -1,6 +1,7 @@
 // Randomized equivalence tests for the parallel semi-naive closure: for
 // random taxonomy workloads (trees and DAGs), the derived fact set must
-// be bit-identical for every thread count, and must match the naive
+// be bit-identical for every thread count (segment by segment, with the
+// same round and candidate accounting), and must match the naive
 // strategy's fixpoint (the semantic anchor).
 #include <algorithm>
 #include <memory>
@@ -30,6 +31,20 @@ std::string ParamName(
   return "d" + std::to_string(p.depth) + "f" + std::to_string(p.fanout) +
          (p.extra_parent_prob > 0 ? "dag" : "tree") + "s" +
          std::to_string(p.seed);
+}
+
+// The derived tier segment by segment, overlay last: every round
+// installs the same sorted run whatever the thread count, so the tier's
+// layout must match too, not just its fact set.
+std::vector<std::vector<Fact>> DerivedTiers(const Closure& closure) {
+  std::vector<std::vector<Fact>> tiers;
+  for (const auto& segment : closure.derived().segments()) {
+    tiers.push_back(segment->Materialize());
+  }
+  std::vector<Fact> overlay = closure.derived().overlay().Match(Pattern());
+  std::sort(overlay.begin(), overlay.end(), OrderSrt());
+  tiers.push_back(std::move(overlay));
+  return tiers;
 }
 
 std::vector<Fact> AllDerived(const Closure& closure) {
@@ -78,11 +93,16 @@ TEST_P(ParallelClosureTest, ThreadCountsAgreeFactForFact) {
   ASSERT_NE(sequential, nullptr);
   const std::vector<Fact> want = AllDerived(*sequential);
 
-  for (unsigned num_threads : {2u, 4u, 8u}) {
+  const std::vector<std::vector<Fact>> want_tiers =
+      DerivedTiers(*sequential);
+
+  for (unsigned num_threads : {2u, 3u, 4u, 8u}) {
     auto parallel =
         Compute(ClosureOptions::Strategy::kSemiNaive, num_threads);
     ASSERT_NE(parallel, nullptr) << "num_threads=" << num_threads;
     EXPECT_EQ(AllDerived(*parallel), want)
+        << "num_threads=" << num_threads;
+    EXPECT_EQ(DerivedTiers(*parallel), want_tiers)
         << "num_threads=" << num_threads;
     // The round structure and candidate accounting are deterministic
     // too, not just the final set.

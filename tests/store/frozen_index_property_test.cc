@@ -1,23 +1,58 @@
-// Property test: the columnar CSR FrozenIndex is observationally
-// equivalent to the dynamic TripleIndex. For many random fact sets it
-// checks all 8 binding patterns (Match and exact CountMatches), the
-// Contains probe, the SortedFreeValues contract on every two-bound
-// shape, and that Merged(base, run) equals a from-scratch build of the
-// union. This is the safety net under the storage rewrite: any drift in
-// the offset tables or the permutation merge shows up here first.
+// Property tests for the columnar CSR FrozenIndex:
+//  - it is observationally equivalent to the dynamic TripleIndex: all 8
+//    binding patterns (Match and exact CountMatches), the Contains probe
+//    and the SortedFreeValues contract on every two-bound shape;
+//  - its linear-time build (counting passes over dense ids) produces the
+//    same arrays, column for column, as a reference build that sorts the
+//    permutations with OrderRts/OrderTsr, across random and edge shapes;
+//  - DeltaIndex's geometric tail-merge yields the same arrays as a
+//    from-scratch build of the union.
+// This is the safety net under the storage layer: any drift in the
+// offset tables or the permutations shows up here first.
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "store/delta_index.h"
 #include "store/frozen_index.h"
 #include "store/triple_index.h"
 #include "util/random.h"
 
 namespace lsd {
+
+class FrozenIndexTestPeer {
+ public:
+  static const std::vector<EntityId>& Rel(const FrozenIndex& f) {
+    return f.rel_;
+  }
+  static const std::vector<EntityId>& Tgt(const FrozenIndex& f) {
+    return f.tgt_;
+  }
+  static const std::vector<uint32_t>& SrcOffsets(const FrozenIndex& f) {
+    return f.src_offsets_;
+  }
+  static const std::vector<uint32_t>& RtsPerm(const FrozenIndex& f) {
+    return f.rts_perm_;
+  }
+  static const std::vector<uint32_t>& RelOffsets(const FrozenIndex& f) {
+    return f.rel_offsets_;
+  }
+  static const std::vector<uint32_t>& TsrPerm(const FrozenIndex& f) {
+    return f.tsr_perm_;
+  }
+  static const std::vector<uint32_t>& TgtOffsets(const FrozenIndex& f) {
+    return f.tgt_offsets_;
+  }
+};
+
 namespace {
+
+using Peer = FrozenIndexTestPeer;
 
 struct Shape {
   uint64_t seed;
@@ -116,37 +151,177 @@ TEST_P(FrozenIndexPropertyTest, EquivalentToTripleIndex) {
   }
 }
 
+// The arrays a comparison-sort build produces from SRT-sorted,
+// duplicate-free facts: the reference the counting-pass kernel must
+// reproduce exactly.
+struct ReferenceLayout {
+  std::vector<EntityId> rel, tgt;
+  std::vector<uint32_t> src_offsets, rts_perm, rel_offsets, tsr_perm,
+      tgt_offsets;
+  size_t distinct_sources = 0, distinct_rels = 0, distinct_targets = 0;
+};
+
+// CSR table over ids [0, max id + 1] of `ids` listed in ascending order;
+// {0} when there are none.
+std::vector<uint32_t> ReferenceOffsets(const std::vector<EntityId>& ids) {
+  if (ids.empty()) return {0};
+  std::vector<uint32_t> offsets(size_t{ids.back()} + 2);
+  for (size_t id = 0; id < offsets.size(); ++id) {
+    offsets[id] = static_cast<uint32_t>(
+        std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
+  }
+  return offsets;
+}
+
+size_t Distinct(std::vector<EntityId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return static_cast<size_t>(std::unique(ids.begin(), ids.end()) -
+                             ids.begin());
+}
+
+ReferenceLayout BuildReference(const std::vector<Fact>& facts) {
+  ReferenceLayout ref;
+  std::vector<EntityId> srcs;
+  std::vector<EntityId> rels;
+  std::vector<EntityId> tgts;
+  for (const Fact& f : facts) {
+    ref.rel.push_back(f.relationship);
+    ref.tgt.push_back(f.target);
+    srcs.push_back(f.source);
+  }
+  ref.src_offsets = ReferenceOffsets(srcs);
+  auto sorted_perm = [&](const auto& less) {
+    std::vector<uint32_t> perm(facts.size());
+    std::iota(perm.begin(), perm.end(), 0u);
+    std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+      return less(facts[a], facts[b]);
+    });
+    return perm;
+  };
+  ref.rts_perm = sorted_perm(OrderRts());
+  for (uint32_t row : ref.rts_perm) rels.push_back(facts[row].relationship);
+  ref.rel_offsets = ReferenceOffsets(rels);
+  ref.tsr_perm = sorted_perm(OrderTsr());
+  for (uint32_t row : ref.tsr_perm) tgts.push_back(facts[row].target);
+  ref.tgt_offsets = ReferenceOffsets(tgts);
+  ref.distinct_sources = Distinct(srcs);
+  ref.distinct_rels = Distinct(rels);
+  ref.distinct_targets = Distinct(tgts);
+  return ref;
+}
+
+// The arrays a FrozenIndex actually holds.
+ReferenceLayout LayoutOf(const FrozenIndex& f) {
+  return {Peer::Rel(f),        Peer::Tgt(f),        Peer::SrcOffsets(f),
+          Peer::RtsPerm(f),    Peer::RelOffsets(f), Peer::TsrPerm(f),
+          Peer::TgtOffsets(f), f.DistinctSources(), f.DistinctRelationships(),
+          f.DistinctTargets()};
+}
+
+void ExpectLayout(const FrozenIndex& index, const ReferenceLayout& want) {
+  const ReferenceLayout got = LayoutOf(index);
+  EXPECT_EQ(got.rel, want.rel);
+  EXPECT_EQ(got.tgt, want.tgt);
+  EXPECT_EQ(got.src_offsets, want.src_offsets);
+  EXPECT_EQ(got.rts_perm, want.rts_perm);
+  EXPECT_EQ(got.rel_offsets, want.rel_offsets);
+  EXPECT_EQ(got.tsr_perm, want.tsr_perm);
+  EXPECT_EQ(got.tgt_offsets, want.tgt_offsets);
+  EXPECT_EQ(got.distinct_sources, want.distinct_sources);
+  EXPECT_EQ(got.distinct_rels, want.distinct_rels);
+  EXPECT_EQ(got.distinct_targets, want.distinct_targets);
+}
+
+std::vector<Fact> SortedUnique(std::vector<Fact> facts) {
+  std::sort(facts.begin(), facts.end(), OrderSrt());
+  facts.erase(std::unique(facts.begin(), facts.end()), facts.end());
+  return facts;
+}
+
+TEST_P(FrozenIndexPropertyTest, BuildMatchesComparisonSortReference) {
+  Rng rng(GetParam() * 40503u + 5);
+  const Shape shape{GetParam(),
+                    rng.Uniform(2000),
+                    static_cast<EntityId>(1 + rng.Uniform(300)),
+                    static_cast<EntityId>(1 + rng.Uniform(12)),
+                    static_cast<EntityId>(1 + rng.Uniform(300))};
+  const std::vector<Fact> facts = SortedUnique(RandomFacts(rng, shape));
+  ExpectLayout(FrozenIndex::FromSortedRun(facts), BuildReference(facts));
+  // The unsorted, duplicated input path lands on the same arrays.
+  std::vector<Fact> shuffled = RandomFacts(rng, shape);
+  shuffled.insert(shuffled.end(), shuffled.begin(), shuffled.end());
+  ExpectLayout(FrozenIndex(shuffled),
+               BuildReference(SortedUnique(shuffled)));
+}
+
+TEST(FrozenIndexBuildTest, EdgeShapesMatchComparisonSortReference) {
+  Rng rng(7);
+  std::vector<std::vector<Fact>> shapes;
+  shapes.push_back({});                      // empty
+  shapes.push_back({Fact(0, 0, 0)});         // single fact at id 0
+  shapes.push_back({Fact(9, 4, 12)});        // single fact, high ids
+  std::vector<Fact> one_rel;                 // one relationship
+  for (int i = 0; i < 500; ++i) {
+    one_rel.emplace_back(static_cast<EntityId>(rng.Uniform(60)), 3,
+                         static_cast<EntityId>(rng.Uniform(60)));
+  }
+  shapes.push_back(one_rel);
+  std::vector<Fact> sparse;                  // few facts, far-apart ids
+  for (int i = 0; i < 200; ++i) {
+    sparse.emplace_back(static_cast<EntityId>(rng.Uniform(200'000)),
+                        static_cast<EntityId>(100'000 + rng.Uniform(4)),
+                        static_cast<EntityId>(rng.Uniform(200'000)));
+  }
+  shapes.push_back(sparse);
+  std::vector<Fact> hubs;                    // a few dense hub entities
+  for (EntityId hub = 0; hub < 3; ++hub) {
+    for (EntityId r = 0; r < 4; ++r) {
+      for (EntityId t = 0; t < 300; ++t) {
+        hubs.emplace_back(hub * 50, r, t);   // out-hub
+        hubs.emplace_back(t + 1000, r, hub * 50);  // in-hub
+      }
+    }
+  }
+  shapes.push_back(hubs);
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    SCOPED_TRACE("shape " + std::to_string(i));
+    const std::vector<Fact> facts = SortedUnique(shapes[i]);
+    ExpectLayout(FrozenIndex::FromSortedRun(facts), BuildReference(facts));
+  }
+}
+
+// The name predates DeltaIndex: the merge under test is now its
+// geometric tail-merge, which folds two disjoint segments into one.
 TEST_P(FrozenIndexPropertyTest, MergedEqualsFromScratchBuild) {
   Rng rng(GetParam() * 2654435761u + 17);
   const Shape shape{GetParam(),
-                    30 + rng.Uniform(300),
-                    static_cast<EntityId>(2 + rng.Uniform(15)),
+                    1500 + rng.Uniform(1500),
+                    static_cast<EntityId>(20 + rng.Uniform(40)),
                     static_cast<EntityId>(1 + rng.Uniform(6)),
-                    static_cast<EntityId>(2 + rng.Uniform(15))};
+                    static_cast<EntityId>(20 + rng.Uniform(40))};
 
-  // Split a duplicate-free universe into a base set and a disjoint run.
-  std::vector<Fact> all = Sorted(RandomFacts(rng, shape));
-  all.erase(std::unique(all.begin(), all.end(),
-                        [](const Fact& a, const Fact& b) {
-                          return a.source == b.source &&
-                                 a.relationship == b.relationship &&
-                                 a.target == b.target;
-                        }),
-            all.end());
+  // Split a duplicate-free universe into an older run and a newer,
+  // disjoint run at least half its size, both large enough to become
+  // segments, so the second InsertRun tail-merges them.
+  const std::vector<Fact> all = SortedUnique(RandomFacts(rng, shape));
   std::vector<Fact> base_facts, run;
   for (const Fact& f : all) {
-    (rng.Uniform(3) == 0 ? run : base_facts).push_back(f);
+    (rng.Uniform(5) < 3 ? base_facts : run).push_back(f);
   }
+  ASSERT_GE(run.size(), DeltaIndex::kL0MinRun);
+  ASSERT_GE(run.size() * 2, base_facts.size());
 
-  const FrozenIndex base(base_facts);
-  const FrozenIndex merged = FrozenIndex::Merged(base, run);
+  DeltaIndex tiers;
+  ASSERT_EQ(tiers.InsertRun(base_facts), base_facts.size());
+  ASSERT_EQ(tiers.InsertRun(run), run.size());
+  ASSERT_EQ(tiers.segment_count(), 1u);
+  ASSERT_EQ(tiers.overlay_size(), 0u);
+  const FrozenIndex& merged = *tiers.segments()[0];
   const FrozenIndex scratch(all);
 
   ASSERT_EQ(merged.size(), scratch.size());
-  EXPECT_EQ(merged.Materialize(), scratch.Materialize());
-  EXPECT_EQ(merged.DistinctSources(), scratch.DistinctSources());
-  EXPECT_EQ(merged.DistinctRelationships(), scratch.DistinctRelationships());
-  EXPECT_EQ(merged.DistinctTargets(), scratch.DistinctTargets());
+  ExpectLayout(merged, LayoutOf(scratch));
+  ExpectLayout(merged, BuildReference(all));
 
   for (int mask = 0; mask < 8; ++mask) {
     for (int trial = 0; trial < 6; ++trial) {
@@ -162,8 +337,8 @@ TEST_P(FrozenIndexPropertyTest, MergedEqualsFromScratchBuild) {
   merged.AppendMissing(all, &missing);
   EXPECT_TRUE(missing.empty());
   std::vector<Fact> fresh;
-  base.AppendMissing(all, &fresh);
-  EXPECT_EQ(fresh, Sorted(run));
+  FrozenIndex(base_facts).AppendMissing(all, &fresh);
+  EXPECT_EQ(fresh, run);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FrozenIndexPropertyTest,

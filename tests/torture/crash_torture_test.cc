@@ -15,11 +15,14 @@
 // in an ack file (raw write(2), so acknowledgements survive _exit);
 // recovery must never fall behind the acknowledged count.
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -776,6 +779,120 @@ TEST_F(CrashTortureTest, CompactionCrashIsADurabilityNoOp) {
     ASSERT_TRUE(q2.ok());
     EXPECT_TRUE(q2->Success());
     recovered.StopCompaction();
+  }
+}
+
+// ---- Seeding and loading from a .lsd file ------------------------------
+//
+// `lsd_serve --db P --load F` seeds a fresh durable store from a text
+// file; the server's `load` verb and the shell's load one into a running
+// durable store. Each must survive kill -9. A seed is all or nothing: a
+// crash inside its checkpoint leaves an empty store, which seeds again
+// on the next start. Once a seed or load has returned, every loaded fact
+// and rule must come back.
+TEST_F(CrashTortureTest, LoadedFactsSurviveKill) {
+  const std::string file = Prefix("seed.lsd");
+  {
+    std::ofstream out(file);
+    out << "(FRESHMAN, ISA, STUDENT)\n(STUDENT, LOVE, CONCERT-PASS)\n"
+           "@class HEADCOUNT\n(STUDENT, HEADCOUNT, 5000)\n"
+           "rule near: (?X, LINKS, ?Y) => (?X, NEAR, ?Y)\n";
+    // Enough facts for the load to become a frozen segment.
+    for (int i = 0; i < 1200; ++i) {
+      out << "(E" << i << ", LINKS, E" << (i * 7 + 1) % 1200 << ")\n";
+    }
+  }
+  auto load = [&file](LooseDb& db) { return db.LoadTextFile(file); };
+  auto rule_names = [](const LooseDb& db) {
+    std::set<std::string> names;
+    for (const Rule& r : db.rules()) names.insert(r.name);
+    return names;
+  };
+  LooseDb reference;
+  ASSERT_TRUE(load(reference).ok());
+  const std::set<std::string> want_facts = DumpFacts(reference);
+  const std::set<std::string> want_rules = rule_names(reference);
+  ASSERT_GT(want_facts.size(), 1200u);
+  ASSERT_EQ(want_rules.count("near"), 1u);
+
+  enum Mode { kServeSeed, kLoadVerb, kShellLoad };
+  struct Trial {
+    Mode mode;
+    const char* failpoints;
+  };
+  const Trial kTrials[] = {
+      {kServeSeed, ""},
+      {kServeSeed, "snapshot.write=crash@0"},
+      {kServeSeed, "snapshot.rename=crash@0"},
+      {kServeSeed, "checkpoint.swap=crash@0"},
+      {kServeSeed, "wal.generation.swap=crash@0"},
+      {kLoadVerb, ""},
+      {kShellLoad, ""},
+  };
+  int trial_index = 0;
+  for (const Trial& trial : kTrials) {
+    SCOPED_TRACE("mode " + std::to_string(trial.mode) + " " +
+                 trial.failpoints);
+    const std::string prefix = Prefix("load" + std::to_string(trial_index));
+    const std::string ack = Prefix("lack" + std::to_string(trial_index));
+    ++trial_index;
+
+    std::fflush(nullptr);
+    pid_t pid = ::fork();
+    if (pid == 0) {
+      if (!failpoint::Configure(trial.failpoints).ok()) ::_exit(91);
+      int ack_fd = ::open(ack.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+      if (ack_fd < 0) ::_exit(92);
+      LooseDb shell;
+      SharedStore store;
+      if (trial.mode == kShellLoad) {
+        if (!shell.Open(prefix).ok()) ::_exit(93);
+        if (!load(shell).ok()) ::_exit(94);
+      } else {
+        if (!store.OpenDurable(prefix).ok()) ::_exit(93);
+        auto done = trial.mode == kServeSeed ? store.Seed(load)
+                                             : store.Commit(load);
+        if (!done.ok()) ::_exit(94);
+      }
+      if (::write(ack_fd, "+", 1) != 1) ::_exit(95);
+      for (;;) ::pause();  // serving, until kill -9
+    }
+    // Kill the child once it has acknowledged, unless a failpoint
+    // already ended it.
+    int status = 0;
+    bool exited = false;
+    while (CountAcks(ack) == 0) {
+      if (::waitpid(pid, &status, WNOHANG) == pid) {
+        exited = true;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!exited) {
+      ::kill(pid, SIGKILL);
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    }
+    const bool acked = CountAcks(ack) > 0;
+    if (trial.failpoints[0] == '\0') {
+      ASSERT_TRUE(acked) << "child exit " << WEXITSTATUS(status);
+    } else {
+      ASSERT_TRUE(WIFEXITED(status));
+      ASSERT_EQ(WEXITSTATUS(status), failpoint::kCrashExitStatus)
+          << "site never fired";
+    }
+
+    // Restart as lsd_serve does: seed again only if nothing recovered.
+    SharedStore restarted;
+    ASSERT_TRUE(restarted.OpenDurable(prefix).ok());
+    const RecoveryStats& recovered = restarted.last_recovery();
+    if (!recovered.snapshot_loaded && recovered.records_replayed == 0) {
+      ASSERT_EQ(trial.mode, kServeSeed) << "an acknowledged load was lost";
+      ASSERT_FALSE(acked) << "an acknowledged seed was lost";
+      ASSERT_TRUE(restarted.Seed(load).ok());
+    }
+    const LooseDb& db = restarted.snapshot()->db();
+    EXPECT_EQ(DumpFacts(db), want_facts) << recovered.ToString();
+    EXPECT_EQ(rule_names(db), want_rules) << recovered.ToString();
   }
 }
 
