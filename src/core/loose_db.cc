@@ -22,29 +22,10 @@ LooseDb::LooseDb(const LooseDbOptions& options)
   }
 }
 
-void LooseDb::Invalidate() {
-  // The closure cache is keyed on versions; nothing else to do. Kept as
-  // an explicit hook for future cache layers.
-}
-
-void LooseDb::MaintainIncremental(const Fact& f, bool asserted) {
-  if (!options_.incremental_maintenance || incremental_ == nullptr) return;
-  // Only a live, up-to-date incremental closure can absorb a point
-  // update; otherwise let View() rebuild it lazily.
-  if (inc_rules_version_ != rules_version_ ||
-      inc_store_version_ + 1 != store_.version()) {
-    incremental_ = nullptr;
-    return;
-  }
-  Status s = asserted ? incremental_->OnAssert(f)
-                      : incremental_->OnRetract(f);
-  if (!s.ok()) {
-    incremental_ = nullptr;  // fall back to a rebuild
-    return;
-  }
-  inc_store_version_ = store_.version();
-  // The lattice and plan caches are version-keyed; the bumped store
-  // version invalidates them on next use.
+void LooseDb::RecordChange(const Fact& f, bool added) {
+  // Without a cached closure the next View() computes from scratch, so
+  // there is nothing to maintain.
+  if (closure_ != nullptr) closure_delta_.emplace_back(f, added);
 }
 
 Status LooseDb::MaybeAutoCheckpoint() {
@@ -113,15 +94,7 @@ bool LooseDb::Assert(const Fact& f) {
     // The bool API cannot carry the log's status; a failure is latched
     // in wal_error_ and the poisoned log refuses further appends.
     (void)LogAssert(f);
-    MaintainIncremental(f, /*asserted=*/true);
-    if (f.relationship == kEntIn && f.target == kEntClassRel) {
-      // Marking a class relationship changes which old facts pass the
-      // rules' VarConstraints, so the closure is not merely extended by
-      // this fact — force the full recompute.
-      closure_extension_ok_ = false;
-    } else if (closure_extension_ok_) {
-      closure_delta_.push_back(f);
-    }
+    RecordChange(f, /*added=*/true);
   }
   return inserted;
 }
@@ -148,40 +121,22 @@ void ForEachInBatchOrder(const std::vector<Fact>& batch,
 }  // namespace
 
 size_t LooseDb::AssertRun(const std::vector<Fact>& facts) {
-  if (options_.incremental_maintenance) {
-    // The incremental closure absorbs point updates one version step at
-    // a time.
-    size_t n = 0;
-    for (const Fact& f : facts) n += Assert(f) ? 1 : 0;
-    return n;
-  }
   std::vector<Fact> added;
   const size_t n = store_.AssertRun(facts, &added);
   ForEachInBatchOrder(facts, added, [this](const Fact& f) {
     (void)LogAssert(f);
-    if (f.relationship == kEntIn && f.target == kEntClassRel) {
-      closure_extension_ok_ = false;
-    } else if (closure_extension_ok_) {
-      closure_delta_.push_back(f);
-    }
+    RecordChange(f, /*added=*/true);
   });
   return n;
 }
 
 size_t LooseDb::RetractRun(const std::vector<Fact>& facts) {
-  if (options_.incremental_maintenance) {
-    size_t n = 0;
-    for (const Fact& f : facts) n += Retract(f) ? 1 : 0;
-    return n;
-  }
   std::vector<Fact> removed;
   const size_t n = store_.RetractRun(facts, &removed);
-  if (n == 0) return 0;
-  ForEachInBatchOrder(facts, removed,
-                      [this](const Fact& f) { (void)LogRetract(f); });
-  // As in Retract: the extension shortcut is off until the next full
-  // recompute.
-  closure_extension_ok_ = false;
+  ForEachInBatchOrder(facts, removed, [this](const Fact& f) {
+    (void)LogRetract(f);
+    RecordChange(f, /*added=*/false);
+  });
   return n;
 }
 
@@ -189,11 +144,7 @@ bool LooseDb::Retract(const Fact& f) {
   bool erased = store_.Retract(f);
   if (erased) {
     (void)LogRetract(f);
-    MaintainIncremental(f, /*asserted=*/false);
-    // The closure is only monotone under addition; a retraction may
-    // invalidate derived facts, so the extension shortcut is off until
-    // the next full recompute.
-    closure_extension_ok_ = false;
+    RecordChange(f, /*added=*/false);
   }
   return erased;
 }
@@ -275,76 +226,76 @@ bool LooseDb::IsRuleEnabled(std::string_view name) const {
   return false;
 }
 
+namespace {
+
+// Nets the ordered fact events since a cached closure into the facts
+// added and removed overall, SRT-sorted: a fact's first event tells
+// whether it was asserted before, its last whether it is asserted now.
+// False when an event marks or unmarks a class relationship: that
+// changes which old facts pass the rules' VarConstraints, so the
+// closure must be recomputed.
+bool NetChanges(std::vector<std::pair<Fact, bool>> events,
+                std::vector<Fact>* added, std::vector<Fact>* removed) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const std::pair<Fact, bool>& a,
+                      const std::pair<Fact, bool>& b) {
+                     return OrderSrt()(a.first, b.first);
+                   });
+  for (size_t i = 0, j = 0; i < events.size(); i = j) {
+    const Fact& f = events[i].first;
+    if (f.relationship == kEntIn && f.target == kEntClassRel) return false;
+    while (j < events.size() && events[j].first == f) ++j;
+    const bool was = !events[i].second;
+    const bool is = events[j - 1].second;
+    if (is && !was) added->push_back(f);
+    if (was && !is) removed->push_back(f);
+  }
+  return true;
+}
+
+}  // namespace
+
 StatusOr<const ClosureView*> LooseDb::View() const {
-  if (options_.incremental_maintenance) {
-    if (incremental_ == nullptr ||
-        inc_rules_version_ != rules_version_ ||
-        inc_store_version_ != store_.version()) {
-      incremental_ =
-          std::make_unique<IncrementalClosure>(&store_, &math_, rules_);
-      Status s = incremental_->Initialize();
-      if (!s.ok()) {
-        incremental_ = nullptr;
-        return s;
-      }
-      inc_store_version_ = store_.version();
-      inc_rules_version_ = rules_version_;
-    }
-    return &incremental_->view();
+  if (closure_ != nullptr && closure_store_version_ == store_.version() &&
+      closure_rules_version_ == rules_version_) {
+    return &closure_->view();
   }
-  if (closure_ == nullptr || closure_store_version_ != store_.version() ||
-      closure_rules_version_ != rules_version_) {
-    ClosureOptions closure_options = options_.closure;
-    if (closure_options.budget == nullptr) {
-      closure_options.budget = read_budget_;
-    }
-    // Incremental extension (the serving path's common case): when the
-    // only change since the cached closure is a known list of asserted
-    // facts, seed a semi-naive fixpoint with exactly that delta on
-    // clones of the cached tiers instead of recomputing from scratch.
-    // The version arithmetic proves the delta is complete; mutations
-    // that bypass Assert bump the version without growing the delta and
-    // fail the check. A failed attempt leaves `closure_` untouched (the
-    // extension ran on clones), so falling back is safe.
-    bool extended = false;
-    if (closure_ != nullptr && closure_extension_ok_ &&
-        closure_rules_version_ == rules_version_ &&
-        !closure_delta_.empty() &&
-        store_.version() == closure_store_version_ + closure_delta_.size() &&
-        closure_options.strategy == ClosureOptions::Strategy::kSemiNaive) {
-      std::vector<Fact> delta = closure_delta_;
-      std::sort(delta.begin(), delta.end(), OrderSrt());
-      delta.erase(std::unique(delta.begin(), delta.end()), delta.end());
-      // A newly asserted fact that the seed closure had *derived* would
-      // end up in both tiers (base gains it, derived keeps it), breaking
-      // their disjointness; recompute instead.
-      bool collision = false;
-      for (const Fact& f : delta) {
-        if (closure_->derived().Contains(f)) {
-          collision = true;
-          break;
-        }
-      }
-      if (!collision) {
-        auto ext = engine_.ExtendClosure(rules_, closure_->derived().Clone(),
-                                         closure_->stats(), std::move(delta),
-                                         closure_options);
-        if (ext.ok()) {
-          closure_ = std::move(*ext);
-          extended = true;
-        }
-      }
-    }
-    if (!extended) {
-      auto closure = engine_.ComputeClosure(rules_, closure_options);
-      if (!closure.ok()) return closure.status();
-      closure_ = std::move(*closure);
-    }
-    closure_store_version_ = store_.version();
-    closure_rules_version_ = rules_version_;
-    closure_delta_.clear();
-    closure_extension_ok_ = true;
+  ClosureOptions closure_options = options_.closure;
+  if (closure_options.budget == nullptr) {
+    closure_options.budget = read_budget_;
   }
+  // Maintenance (the serving path's common case): when the only change
+  // since the cached closure is a known list of fact events, fold
+  // exactly those into clones of the cached tiers instead of
+  // recomputing from scratch. The version arithmetic proves the list is
+  // complete; mutations that bypass it bump the version without growing
+  // it and fail the check. A failure leaves `closure_` and the list
+  // untouched (the work ran on clones), so the next View() retries.
+  std::vector<Fact> added;
+  std::vector<Fact> removed;
+  const bool maintain =
+      closure_ != nullptr && closure_rules_version_ == rules_version_ &&
+      store_.version() == closure_store_version_ + closure_delta_.size() &&
+      closure_options.strategy == ClosureOptions::Strategy::kSemiNaive &&
+      NetChanges(closure_delta_, &added, &removed);
+  StatusOr<std::unique_ptr<Closure>> next =
+      maintain ? engine_.ExtendClosure(rules_, closure_->derived().Clone(),
+                                       closure_->stats(), std::move(added),
+                                       std::move(removed), closure_options)
+               : engine_.ComputeClosure(rules_, closure_options);
+  if (!next.ok()) return next.status();
+  if (!maintain && closure_ != nullptr) {
+    // The maintenance tallies outlive the closure they describe.
+    ClosureStats* stats = (*next)->mutable_stats();
+    const ClosureStats& prior = closure_->stats();
+    stats->full_recomputes += prior.full_recomputes;
+    stats->extensions += prior.extensions;
+    stats->retract_maintenances += prior.retract_maintenances;
+  }
+  closure_ = std::move(*next);
+  closure_store_version_ = store_.version();
+  closure_rules_version_ = rules_version_;
+  closure_delta_.clear();
   return &closure_->view();
 }
 
@@ -359,10 +310,6 @@ StatusOr<LooseDb::StorageMemory> LooseDb::MemoryUsage() const {
   // is counted once.
   mem.base = store_.base().MemoryUsage();
   mem.entity_bytes = store_.entities().MemoryUsage();
-  if (options_.incremental_maintenance && incremental_ != nullptr) {
-    mem.derived.overlay_bytes = incremental_->derived().MemoryUsage();
-    return mem;
-  }
   mem.derived = closure_->derived().MemoryUsage();
   return mem;
 }
@@ -407,7 +354,10 @@ Status LooseDb::CloneInto(LooseDb* out) const {
   // only the store's overlay is copied.
   LSD_RETURN_IF_ERROR(store_.CloneInto(&out->store_));
   out->rules_ = rules_;
-  ++out->rules_version_;
+  // Adopt the rules clock like the store's: the serving layer detects a
+  // no-op commit by comparing a clone's versions with its tip's, so a
+  // clone must start from the tip's values, not from its own count.
+  out->rules_version_ = rules_version_;
   out->composition_limit_ = composition_limit_;
   for (const Definition& d : definitions_.all()) {
     Definition copy;
@@ -420,14 +370,10 @@ Status LooseDb::CloneInto(LooseDb* out) const {
   // Transplant the closure when it is current: the derived tier's frozen
   // segments travel by shared pointer and its overlay by deep copy (the
   // base tier is the clone's own store), so the commit path inherits the
-  // seed closure instead of recomputing it —
-  // View() on the clone then extends it with just the commit's new
-  // facts. Skipped when either side maintains incrementally (different
-  // derived representation) or the closure is stale (the clone would
-  // inherit a wrong cache).
-  if (!options_.incremental_maintenance &&
-      !out->options_.incremental_maintenance && closure_ != nullptr &&
-      closure_store_version_ == store_.version() &&
+  // seed closure instead of recomputing it — View() on the clone then
+  // maintains it with just the commit's fact changes. Skipped when the
+  // closure is stale (the clone would inherit a wrong cache).
+  if (closure_ != nullptr && closure_store_version_ == store_.version() &&
       closure_rules_version_ == rules_version_) {
     out->closure_ = std::make_unique<Closure>(
         &out->store_, &out->math_, closure_->derived().Clone(),
@@ -435,16 +381,11 @@ Status LooseDb::CloneInto(LooseDb* out) const {
     out->closure_store_version_ = out->store_.version();
     out->closure_rules_version_ = out->rules_version_;
     out->closure_delta_.clear();
-    out->closure_extension_ok_ = true;
   }
   return Status::OK();
 }
 
 StatusOr<LooseDb::CompactionPlan> LooseDb::BuildCompactionPlan() const {
-  if (options_.incremental_maintenance) {
-    return Status::FailedPrecondition(
-        "compaction requires the batch (non-incremental) closure");
-  }
   LSD_RETURN_IF_ERROR(View().status());
   CompactionPlan plan;
   auto build = [](const DeltaIndex& tier, TierPlan* tp) {
@@ -464,10 +405,6 @@ StatusOr<LooseDb::CompactionPlan> LooseDb::BuildCompactionPlan() const {
 }
 
 Status LooseDb::InstallCompactedTiers(const CompactionPlan& plan) {
-  if (options_.incremental_maintenance) {
-    return Status::FailedPrecondition(
-        "compaction requires the batch (non-incremental) closure");
-  }
   if (plan.empty()) return Status::OK();
   LSD_RETURN_IF_ERROR(View().status());
   // Validate both tiers before mutating either, so a stale plan aborts

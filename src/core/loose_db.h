@@ -13,15 +13,17 @@
 //   auto hood = db.Navigate("JOHN");                   // browsing
 //   auto probe = db.Probe("(JOHN, MANAGES, ?X)");      // retraction
 //
-// The closure is computed lazily and cached; any mutation (facts or
-// rules) invalidates it. All operations are Status-based; the library
-// never throws.
+// The closure is computed lazily and cached; fact mutations are folded
+// into the cached closure on the next read (RuleEngine::ExtendClosure),
+// rule changes recompute it. All operations are Status-based; the
+// library never throws.
 #ifndef LSD_CORE_LOOSE_DB_H_
 #define LSD_CORE_LOOSE_DB_H_
 
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "browse/navigation.h"
@@ -33,7 +35,6 @@
 #include "query/parser.h"
 #include "rules/composition.h"
 #include "rules/contradiction.h"
-#include "rules/incremental.h"
 #include "rules/rule_engine.h"
 #include "store/persistence.h"
 #include "util/status.h"
@@ -46,10 +47,6 @@ struct LooseDbOptions {
   ClosureOptions closure;
   // Default composition bound; the limit(n) operator (Sec 6.1).
   int composition_limit = 3;
-  // Maintain the closure incrementally across Assert/Retract instead of
-  // recomputing it (Sec 6.2's "update of data"; see rules/incremental.h).
-  // Point updates become cheap; rule changes still trigger a rebuild.
-  bool incremental_maintenance = false;
   // Durability of the attached WAL (Save/Open): fsync every record or
   // just flush it to the OS.
   WalSync wal_sync = WalSync::kFlush;
@@ -77,8 +74,8 @@ class LooseDb {
   bool Assert(const Fact& f);
   // Asserts a batch (any order, duplicates allowed) as one sorted run:
   // the bulk path behind the server's assert* verb and mutation frames.
-  // Each new fact is logged and extends the cached closure exactly as
-  // Assert(f) would. Returns the number of new facts.
+  // Each new fact is logged and recorded for closure maintenance exactly
+  // as Assert(f) would. Returns the number of new facts.
   size_t AssertRun(const std::vector<Fact>& facts);
   bool Retract(const Fact& f);
   // Retracts a batch (any order, duplicates allowed) as one run (see
@@ -149,7 +146,10 @@ class LooseDb {
 
   // ---- Closure & integrity ----------------------------------------------
 
-  // The queryable closure; recomputed if facts or rules changed.
+  // The queryable closure. Fact mutations since the cached closure are
+  // folded into it (RuleEngine::ExtendClosure: semi-naive extension for
+  // asserts, delete-and-rederive for retracts); rule changes,
+  // class-relationship marks and bulk loads recompute it.
   StatusOr<const ClosureView*> View() const;
   // Stats of the last computed closure (null before the first View()).
   const ClosureStats* closure_stats() const;
@@ -157,8 +157,6 @@ class LooseDb {
   // Resident bytes of the database's storage (experiment E9
   // observability; the shell's `stats` and the server's STATS verb
   // report the breakdown). Computes the closure first if it is stale.
-  // In incremental-maintenance mode the derived tier is a plain triple
-  // index; its bytes are reported as overlay bytes with no frozen run.
   struct StorageMemory {
     DeltaIndex::Memory base;      // the asserted facts: the store's
                                   // index, which the closure reads in
@@ -334,7 +332,6 @@ class LooseDb {
 
  private:
   EntityId MustLookup(std::string_view name, Status* status) const;
-  void Invalidate();
   Status LogAssert(const Fact& f);
   Status LogRetract(const Fact& f);
   Status LogRule(const Rule& rule);
@@ -363,17 +360,17 @@ class LooseDb {
   mutable uint64_t closure_store_version_ = 0;
   mutable uint64_t closure_rules_version_ = 0;
 
-  // Monotone delta since the cached closure was fixed: the facts
-  // asserted through Assert() with no intervening retraction or
-  // class-relationship marking. View() extends the cached closure with
-  // exactly these (RuleEngine::ExtendClosure) instead of recomputing,
-  // provided the version arithmetic proves the list is complete: every
-  // store-version bump since the closure was keyed must correspond to
-  // one captured fact (mutations that bypass Assert — LoadText,
-  // Recover, MarkClassRelationship — bump the version without growing
-  // the delta and thus force the full recompute).
-  mutable std::vector<Fact> closure_delta_;
-  mutable bool closure_extension_ok_ = true;
+  // The fact mutations since the cached closure was fixed, in order:
+  // every fact Assert/AssertRun added (true) or Retract/RetractRun
+  // removed (false). View() nets them into added and removed runs and
+  // maintains the cached closure with exactly those
+  // (RuleEngine::ExtendClosure) instead of recomputing, provided the
+  // version arithmetic proves the list is complete: every store-version
+  // bump since the closure was keyed must correspond to one event
+  // (mutations that bypass the list — LoadText, Recover,
+  // MarkClassRelationship — bump the version without growing it and thus
+  // force the full recompute). Recorded only while a closure is cached.
+  mutable std::vector<std::pair<Fact, bool>> closure_delta_;
   // Bumped by InstallCompactedTiers (storage layout changed with no
   // logical change); copied by CloneInto.
   uint64_t storage_generation_ = 0;
@@ -390,17 +387,12 @@ class LooseDb {
   mutable uint64_t planner_store_version_ = 0;
   mutable uint64_t planner_rules_version_ = 0;
 
-  // Incremental mode state (options_.incremental_maintenance).
-  mutable std::unique_ptr<IncrementalClosure> incremental_;
-  mutable uint64_t inc_store_version_ = 0;
-  mutable uint64_t inc_rules_version_ = 0;
-
   StatusOr<const GeneralizationLattice*> Lattice() const;
   // The plan cache for the current (store, rules) snapshot, cleared on
   // version mismatch.
   PlannerCache* Planner() const;
-  // Applies a point mutation to the incremental closure if it is live.
-  void MaintainIncremental(const Fact& f, bool asserted);
+  // Records an Assert/Retract for closure maintenance (closure_delta_).
+  void RecordChange(const Fact& f, bool added);
 };
 
 }  // namespace lsd

@@ -30,9 +30,8 @@ class ClosureView final : public FactSource {
  public:
   // All pointers are borrowed and must outlive the view. The asserted
   // layer is read straight from the store's generational index. `derived`
-  // is any FactSource holding the rule engine's output (the generational
-  // DeltaIndex for batch closures, an IndexSource for the incremental
-  // engine); it may be null (no rules applied).
+  // is any FactSource holding the rule engine's output (a Closure's
+  // generational DeltaIndex); it may be null (no rules applied).
   ClosureView(const FactStore* store, const FactSource* derived,
               const MathProvider* math);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -111,6 +112,10 @@ struct DeriveFn {
   const Rule* rule;
   WorkerResult* out;
 
+  DeriveFn(const RoundContext& ctx, const Rule& r, WorkerResult* o)
+      : math(ctx.math), base(ctx.base), derived(ctx.derived), rule(&r),
+        out(o) {}
+
   bool operator()(const Binding& binding) const {
     for (const Template& head : rule->head) {
       ++out->candidate_facts;
@@ -128,10 +133,26 @@ struct DeriveFn {
   }
 };
 
-DeriveFn MakeDerive(const RoundContext& ctx, const Rule& rule,
-                    WorkerResult* out) {
-  return DeriveFn{ctx.math, ctx.base, ctx.derived, &rule, out};
-}
+// The over-delete head functor (ExtendClosure step 1): collects every
+// instantiated head the derived tier holds, i.e. every derived fact with
+// a derivation that may have used a removed fact.
+struct OverDeleteFn {
+  const DeltaIndex* derived;
+  const Rule* rule;
+  WorkerResult* out;
+
+  OverDeleteFn(const RoundContext& ctx, const Rule& r, WorkerResult* o)
+      : derived(ctx.derived), rule(&r), out(o) {}
+
+  bool operator()(const Binding& binding) const {
+    for (const Template& head : rule->head) {
+      ++out->candidate_facts;
+      const Fact f = head.Substitute(binding);
+      if (derived->Contains(f)) out->candidates.push_back(f);
+    }
+    return true;
+  }
+};
 
 // Matches every body atom of `rule` against the full snapshot. Used by
 // the naive strategy and, in round 1 of semi-naive, by rules whose body
@@ -140,7 +161,7 @@ Status MatchFullRule(const RoundContext& ctx, const Rule& rule,
                      const FactSource& full, WorkerResult* out) {
   FilterFn filter = MakeFilterFn(ctx, rule);
   VarFilter vf = filter.active ? VarFilter(filter) : VarFilter();
-  BindingVisitor derive = MakeDerive(ctx, rule, out);
+  BindingVisitor derive = DeriveFn(ctx, rule, out);
   Binding binding(rule.num_vars());
   // Closure bodies are 1-2 atoms matched once per round: the dynamic
   // bound-count pick is already optimal there and skips the planner's
@@ -155,9 +176,10 @@ Status MatchFullRule(const RoundContext& ctx, const Rule& rule,
 // the dominant shape (every standard rule has a body of one or two
 // atoms), so it bypasses MatchRec's atom-selection scan and runs
 // allocation-free per seed.
+template <typename HeadFn>
 Status MatchSingleRest(const AtomSpec& atom, bool always_enumerable,
                        Binding& binding, const FilterFn& filter,
-                       const DeriveFn& derive, BudgetTicker& ticker) {
+                       const HeadFn& derive, BudgetTicker& ticker) {
   const Pattern p = atom.tmpl.Bind(binding);
   if (!always_enumerable && p.BoundCount() < 3 &&
       !atom.source->Enumerable(p)) {
@@ -202,15 +224,18 @@ Status MatchSingleRest(const AtomSpec& atom, bool always_enumerable,
 
 // Seed-first semi-naive match of one contiguous slice of the round's
 // delta: each delta fact is unified into each pinnable atom, then the
-// remaining atoms join against the snapshot. Reads only the RoundContext
-// snapshot; writes only into `out`, so slices run concurrently.
+// remaining atoms join against the snapshot, and HeadFn (DeriveFn or
+// OverDeleteFn) takes every admissible binding. Reads only the
+// RoundContext snapshot; writes only into `out`, so slices run
+// concurrently.
+template <typename HeadFn>
 void MatchDeltaSlice(const RoundContext& ctx, const Fact* facts, size_t n,
                      WorkerResult* out) {
   BudgetTicker ticker(ctx.budget);
   for (const PinnedRule& pr : *ctx.prules) {
     const Rule& rule = *pr.rule;
     FilterFn filter = MakeFilterFn(ctx, rule);
-    DeriveFn derive = MakeDerive(ctx, rule, out);
+    HeadFn derive(ctx, rule, out);
     // Type-erased wrappers, needed only by the general (>= 2 rest atoms)
     // path; built lazily since no standard rule takes it.
     VarFilter vf;
@@ -268,6 +293,153 @@ void MatchDeltaSlice(const RoundContext& ctx, const Fact* facts, size_t n,
   }
 }
 
+// class_rel[e] caches store.IsClassRelationship(e) for every interned
+// entity (see RoundContext::class_rel).
+std::vector<uint8_t> ClassRelMap(const FactStore& store) {
+  std::vector<uint8_t> class_rel(store.entities().size());
+  for (EntityId e = 0; e < class_rel.size(); ++e) {
+    class_rel[e] = store.IsClassRelationship(e) ? 1 : 0;
+  }
+  return class_rel;
+}
+
+// Prepares the seed-first plans of the enabled rules, every remaining
+// atom joined against `full`; rules with no pinnable atom go to
+// `virtual_only` (they fire at most once, in round 1 of a fresh closure).
+void PrepareRules(const std::vector<Rule>& rules, const FactSource* full,
+                  std::vector<PinnedRule>* prules,
+                  std::vector<const Rule*>* virtual_only) {
+  for (const Rule& rule : rules) {
+    if (!rule.enabled) continue;
+    PinnedRule pr;
+    pr.rule = &rule;
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      if (IsVirtualAtom(rule.body[i])) continue;
+      pr.pins.push_back(i);
+      std::vector<AtomSpec> rest;
+      rest.reserve(rule.body.size() - 1);
+      for (size_t j = 0; j < rule.body.size(); ++j) {
+        if (j != i) rest.push_back(AtomSpec{rule.body[j], full});
+      }
+      const bool enumerable =
+          rest.size() == 1 && !IsVirtualAtom(rest[0].tmpl) &&
+          rest[0].tmpl.relationship.is_entity();
+      pr.rest_enumerable.push_back(enumerable ? 1 : 0);
+      pr.rest.push_back(std::move(rest));
+    }
+    if (pr.pins.empty()) {
+      virtual_only->push_back(&rule);
+    } else {
+      prules->push_back(std::move(pr));
+    }
+  }
+}
+
+// One seed-first round over `delta`: partitions it across up to
+// `num_threads` workers, each running MatchDeltaSlice<HeadFn>, and
+// appends every worker's candidates to `out` in worker order (a
+// deterministic merge; duplicates remain). Adds the workers used to
+// `stats`.
+template <typename HeadFn>
+Status MatchRound(const RoundContext& ctx, const std::vector<Fact>& delta,
+                  size_t num_threads, ClosureStats* stats,
+                  WorkerResult* out) {
+  const size_t n = delta.size();
+  const size_t workers =
+      std::max<size_t>(1, std::min(num_threads, n / kMinFactsPerWorker));
+  stats->workers = std::max(stats->workers, workers);
+  if (workers == 1) {
+    MatchDeltaSlice<HeadFn>(ctx, delta.data(), n, out);
+    return out->status;
+  }
+  std::vector<WorkerResult> results(workers);
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  const size_t chunk = (n + workers - 1) / workers;
+  const Fact* facts = delta.data();
+  for (size_t w = 1; w < workers; ++w) {
+    const size_t begin = std::min(n, w * chunk);
+    const size_t count = std::min(n - begin, chunk);
+    threads.emplace_back([&ctx, &results, facts, begin, count, w] {
+      MatchDeltaSlice<HeadFn>(ctx, facts + begin, count, &results[w]);
+    });
+  }
+  MatchDeltaSlice<HeadFn>(ctx, facts, std::min(n, chunk), &results[0]);
+  for (std::thread& t : threads) t.join();
+  for (WorkerResult& r : results) {
+    LSD_RETURN_IF_ERROR(r.status);
+    out->candidate_facts += r.candidate_facts;
+    out->candidates.insert(out->candidates.end(), r.candidates.begin(),
+                           r.candidates.end());
+  }
+  return Status::OK();
+}
+
+// Sorts and deduplicates a round's candidates.
+void SortUnique(std::vector<Fact>* facts) {
+  std::sort(facts->begin(), facts->end(), OrderSrt());
+  facts->erase(std::unique(facts->begin(), facts->end()), facts->end());
+}
+
+// The SRT-sorted union of two SRT-sorted, duplicate-free runs.
+std::vector<Fact> SortedUnion(const std::vector<Fact>& a,
+                              const std::vector<Fact>& b) {
+  std::vector<Fact> out;
+  out.reserve(a.size() + b.size());
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out), OrderSrt());
+  return out;
+}
+
+// ExtendClosure step 3's test: the candidates (SRT-sorted) that a
+// fresh closure would hold as derived facts because some rule derives
+// them in one step from `full` (the store, the surviving derived tier
+// and the virtual layers) — not asserted, not a comparison that holds
+// virtually, and admissible under the rule's VarConstraints, including
+// the variables the head binds.
+StatusOr<std::vector<Fact>> Rederivable(const RoundContext& ctx,
+                                        const std::vector<Rule>& rules,
+                                        const FactSource& full,
+                                        const std::vector<Fact>& candidates) {
+  std::vector<Fact> out;
+  for (const Fact& c : candidates) {
+    if (MathProvider::IsComparator(c.relationship) && ctx.math->Holds(c)) {
+      continue;
+    }
+    if (ctx.base->Contains(c)) continue;
+    bool found = false;
+    for (const Rule& rule : rules) {
+      if (found) break;
+      if (!rule.enabled) continue;
+      const FilterFn filter = MakeFilterFn(ctx, rule);
+      const VarFilter vf = filter.active ? VarFilter(filter) : VarFilter();
+      for (const Template& head : rule.head) {
+        Binding binding(rule.num_vars());
+        if (!head.Unify(c, binding)) continue;
+        VarId head_vars[3];
+        const size_t num_head_vars = head.CollectVars(head_vars);
+        bool admissible = true;
+        for (size_t i = 0; filter.active && admissible && i < num_head_vars;
+             ++i) {
+          admissible = filter(head_vars[i], binding.Get(head_vars[i]));
+        }
+        if (!admissible) continue;
+        LSD_RETURN_IF_ERROR(MatchConjunction(
+            full, rule.body, binding, vf,
+            [&found](const Binding&) {
+              found = true;
+              return false;  // one derivation suffices
+            },
+            JoinOrder::kBoundCount, /*planner=*/nullptr,
+            /*merge_join=*/true, ctx.budget));
+        if (found) break;
+      }
+    }
+    if (found) out.push_back(c);
+  }
+  return out;
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<Closure>> RuleEngine::ComputeClosure(
@@ -283,13 +455,16 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::ComputeClosure(
     // Round 1 treats every asserted fact as new.
     delta_facts = store_->base().Materialize();
   }
-  return RunFixpoint(rules, options, DeltaIndex(), ClosureStats(),
+  ClosureStats stats;
+  stats.full_recomputes = 1;
+  return RunFixpoint(rules, options, DeltaIndex(), stats,
                      std::move(delta_facts), /*fire_virtual_only=*/true);
 }
 
 StatusOr<std::unique_ptr<Closure>> RuleEngine::ExtendClosure(
     const std::vector<Rule>& rules, DeltaIndex derived, ClosureStats stats,
-    std::vector<Fact> new_facts, const ClosureOptions& options) const {
+    std::vector<Fact> added, std::vector<Fact> removed,
+    const ClosureOptions& options) const {
   if (options.strategy != ClosureOptions::Strategy::kSemiNaive) {
     return Status::InvalidArgument(
         "ExtendClosure requires the semi-naive strategy");
@@ -298,12 +473,85 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::ExtendClosure(
     if (!rule.enabled) continue;
     LSD_RETURN_IF_ERROR(rule.Validate());
   }
-  // The new facts are already in the store's index (the base tier);
-  // they seed the first semi-naive round. Virtual-only rules are
-  // skipped: they fired when the seed closure was computed, and nothing
-  // they read has changed.
+  const DeltaIndex& base = store_->base();
+  for (const Fact& f : added) {
+    if (!base.Contains(f)) {
+      return Status::FailedPrecondition(
+          "ExtendClosure: an added fact is not asserted");
+    }
+  }
+  for (const Fact& f : removed) {
+    if (base.Contains(f)) {
+      return Status::FailedPrecondition(
+          "ExtendClosure: a removed fact is still asserted");
+    }
+  }
+  const auto started = std::chrono::steady_clock::now();
+  // An added fact the tier had already derived moves to the asserted
+  // tier (the tiers stay disjoint); its consequences are all present.
+  std::vector<Fact> erase;
+  for (const Fact& f : added) {
+    if (derived.Contains(f)) erase.push_back(f);
+  }
+  // The added facts are already in the store's index (the base tier);
+  // with the rederived facts they seed the first semi-naive round.
+  std::vector<Fact> seeds = std::move(added);
+  if (removed.empty()) {
+    ++stats.extensions;
+    if (!erase.empty()) derived.EraseRun(erase);
+  } else {
+    ++stats.retract_maintenances;
+    const size_t num_threads =
+        options.num_threads == 0 ? UsableCpus() : options.num_threads;
+    const std::vector<uint8_t> class_rel = ClassRelMap(*store_);
+    RoundContext ctx{nullptr,  store_,     math_,         &base,
+                     &derived, &class_rel, options.budget};
+
+    // 1. Over-delete, joining against store ∪ derived ∪ removed.
+    DeltaIndex removed_tier;
+    removed_tier.InsertRun(removed);
+    UnionSource pre({&base, &derived, &removed_tier, math_});
+    std::vector<PinnedRule> prules;
+    std::vector<const Rule*> virtual_only;  // never pinned on a deletion
+    PrepareRules(rules, &pre, &prules, &virtual_only);
+    ctx.prules = &prules;
+    std::vector<Fact> deleted;
+    std::vector<Fact> delta = removed;
+    while (!delta.empty()) {
+      if (options.budget != nullptr) {
+        LSD_RETURN_IF_ERROR(options.budget->Check());
+      }
+      WorkerResult round;
+      LSD_RETURN_IF_ERROR(MatchRound<OverDeleteFn>(ctx, delta, num_threads,
+                                                   &stats, &round));
+      stats.candidate_facts += round.candidate_facts;
+      SortUnique(&round.candidates);
+      delta.clear();
+      std::set_difference(round.candidates.begin(), round.candidates.end(),
+                          deleted.begin(), deleted.end(),
+                          std::back_inserter(delta), OrderSrt());
+      deleted = SortedUnion(deleted, delta);
+    }
+
+    // 2. Erase, in one run.
+    derived.EraseRun(SortedUnion(erase, deleted));
+
+    // 3. Rederive what still has a one-step derivation; the fixpoint
+    // below finds everything that follows from it.
+    UnionSource surviving({&base, &derived, math_});
+    LSD_ASSIGN_OR_RETURN(
+        std::vector<Fact> back,
+        Rederivable(ctx, rules, surviving, SortedUnion(deleted, removed)));
+    derived.InsertRun(back);
+    seeds = SortedUnion(back, seeds);
+  }
+  stats.ms += std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - started)
+                  .count();
+  // Virtual-only rules are skipped: they fired when the seed closure was
+  // computed, and nothing they read has changed.
   return RunFixpoint(rules, options, std::move(derived), stats,
-                     std::move(new_facts), /*fire_virtual_only=*/false);
+                     std::move(seeds), /*fire_virtual_only=*/false);
 }
 
 StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
@@ -318,10 +566,7 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
 
   const DeltaIndex& base = store_->base();
   UnionSource full({&base, &derived, math_});
-  std::vector<uint8_t> class_rel(store_->entities().size());
-  for (EntityId e = 0; e < class_rel.size(); ++e) {
-    class_rel[e] = store_->IsClassRelationship(e) ? 1 : 0;
-  }
+  const std::vector<uint8_t> class_rel = ClassRelMap(*store_);
   RoundContext ctx{nullptr,  store_,     math_,         &base,
                    &derived, &class_rel, options.budget};
 
@@ -329,32 +574,7 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
   // most) once, in round 1.
   std::vector<PinnedRule> prules;
   std::vector<const Rule*> virtual_only;
-  if (semi_naive) {
-    for (const Rule& rule : rules) {
-      if (!rule.enabled) continue;
-      PinnedRule pr;
-      pr.rule = &rule;
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (IsVirtualAtom(rule.body[i])) continue;
-        pr.pins.push_back(i);
-        std::vector<AtomSpec> rest;
-        rest.reserve(rule.body.size() - 1);
-        for (size_t j = 0; j < rule.body.size(); ++j) {
-          if (j != i) rest.push_back(AtomSpec{rule.body[j], &full});
-        }
-        const bool enumerable =
-            rest.size() == 1 && !IsVirtualAtom(rest[0].tmpl) &&
-            rest[0].tmpl.relationship.is_entity();
-        pr.rest_enumerable.push_back(enumerable ? 1 : 0);
-        pr.rest.push_back(std::move(rest));
-      }
-      if (pr.pins.empty()) {
-        virtual_only.push_back(&rule);
-      } else {
-        prules.push_back(std::move(pr));
-      }
-    }
-  }
+  if (semi_naive) PrepareRules(rules, &full, &prules, &virtual_only);
   ctx.prules = &prules;
 
   bool first_round = true;
@@ -373,62 +593,27 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
       LSD_RETURN_IF_ERROR(options.budget->Check());
     }
 
-    WorkerResult seq;
-    std::vector<Fact> merged;
+    WorkerResult round;
     if (!semi_naive) {
       for (const Rule& rule : rules) {
         if (!rule.enabled) continue;
-        LSD_RETURN_IF_ERROR(MatchFullRule(ctx, rule, full, &seq));
+        LSD_RETURN_IF_ERROR(MatchFullRule(ctx, rule, full, &round));
       }
-      stats.candidate_facts += seq.candidate_facts;
-      merged = std::move(seq.candidates);
     } else {
       if (first_round && fire_virtual_only) {
         for (const Rule* rule : virtual_only) {
-          LSD_RETURN_IF_ERROR(MatchFullRule(ctx, *rule, full, &seq));
+          LSD_RETURN_IF_ERROR(MatchFullRule(ctx, *rule, full, &round));
         }
       }
-      const size_t n = delta_facts.size();
-      const size_t workers = std::max<size_t>(
-          1, std::min(num_threads, n / kMinFactsPerWorker));
-      stats.workers = std::max(stats.workers, workers);
-      if (workers == 1) {
-        MatchDeltaSlice(ctx, delta_facts.data(), n, &seq);
-        LSD_RETURN_IF_ERROR(seq.status);
-        stats.candidate_facts += seq.candidate_facts;
-        merged = std::move(seq.candidates);
-      } else {
-        std::vector<WorkerResult> results(workers);
-        std::vector<std::thread> threads;
-        threads.reserve(workers - 1);
-        const size_t chunk = (n + workers - 1) / workers;
-        const Fact* facts = delta_facts.data();
-        for (size_t w = 1; w < workers; ++w) {
-          const size_t begin = std::min(n, w * chunk);
-          const size_t count = std::min(n - begin, chunk);
-          threads.emplace_back([&ctx, &results, facts, begin, count, w] {
-            MatchDeltaSlice(ctx, facts + begin, count, &results[w]);
-          });
-        }
-        MatchDeltaSlice(ctx, facts, std::min(n, chunk), &results[0]);
-        for (std::thread& t : threads) t.join();
-
-        // Deterministic single-threaded merge, in worker order.
-        stats.candidate_facts += seq.candidate_facts;
-        merged = std::move(seq.candidates);
-        for (WorkerResult& r : results) {
-          LSD_RETURN_IF_ERROR(r.status);
-          stats.candidate_facts += r.candidate_facts;
-          merged.insert(merged.end(), r.candidates.begin(),
-                        r.candidates.end());
-        }
-      }
+      LSD_RETURN_IF_ERROR(MatchRound<DeriveFn>(ctx, delta_facts, num_threads,
+                                               &stats, &round));
     }
+    stats.candidate_facts += round.candidate_facts;
 
     // Dedup candidates (the same fact may be derived along several
     // paths, possibly in different workers) and install the round.
-    std::sort(merged.begin(), merged.end(), OrderSrt());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    std::vector<Fact> merged = std::move(round.candidates);
+    SortUnique(&merged);
     if (merged.empty()) break;
     // InsertRun appends an L0 segment (or overlay facts) plus a bounded
     // geometric tail-merge — never a full rebuild, so the commit path no

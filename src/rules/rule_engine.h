@@ -68,17 +68,26 @@ struct ClosureStats {
   // not the result, so they vary with thread count and machine.
   size_t workers = 0;
   double ms = 0;
+  // How the cached closure was kept current: fixpoints computed from
+  // scratch, extensions by asserted facts only, and extensions that also
+  // retracted (delete-and-rederive). Unlike the fields above these
+  // survive a full recompute (LooseDb::View carries them over), so they
+  // count over the life of the cache and its CloneInto transplants.
+  size_t full_recomputes = 0;
+  size_t extensions = 0;
+  size_t retract_maintenances = 0;
 };
 
 // The materialized closure. Owns the derived fact index and exposes the
 // queryable view (asserted ∪ derived ∪ virtual layers). The asserted
 // layer is the store's own generational index, read in place — there is
 // no second copy — which is valid because any store mutation bumps the
-// store version and invalidates (or extends) the whole closure. The
-// derived tier is a DeltaIndex, so a serving tip can extend it across
-// epochs (RuleEngine::ExtendClosure) and the background compactor can
-// fold its accumulated segments (LooseDb::InstallCompactedTiers, which
-// uses the mutable accessor — only ever on a private, unpublished clone).
+// store version, after which the closure must be maintained (or
+// recomputed) before it is read again. The derived tier is a
+// DeltaIndex, so a serving tip can maintain it across epochs
+// (RuleEngine::ExtendClosure) and the background compactor can fold its
+// accumulated segments (LooseDb::InstallCompactedTiers, which uses the
+// mutable accessors — only ever on a private, unpublished clone).
 class Closure {
  public:
   Closure(const FactStore* store, const MathProvider* math,
@@ -99,6 +108,7 @@ class Closure {
   // safe — but only while no reader can see this closure (a commit
   // clone before publication).
   DeltaIndex* mutable_derived() { return &derived_; }
+  ClosureStats* mutable_stats() { return &stats_; }
 
  private:
   DeltaIndex derived_;
@@ -119,22 +129,34 @@ class RuleEngine {
       const std::vector<Rule>& rules,
       const ClosureOptions& options = ClosureOptions()) const;
 
-  // Extends a previously computed closure with `new_facts` — the facts
-  // asserted since `derived` was fixed, already present in the store —
-  // by running semi-naive rounds whose first delta is exactly the new
-  // facts. Because the
-  // closure is monotone in the asserted facts (the caller guarantees no
-  // retraction, no rule change, and no class-relationship re-marking
-  // happened since), every derivation involving at least one new fact is
-  // found and everything else is already present, so the result equals
-  // ComputeClosure from scratch. Preconditions (caller-checked):
-  // `new_facts` is SRT-sorted, duplicate-free, disjoint from `derived`,
-  // and the strategy is kSemiNaive. `stats` is the seed closure's stats,
-  // accumulated into. Virtual-only rules are skipped (they fired when
-  // the seed was computed).
+  // Brings a previously computed closure up to date with the asserted
+  // facts `added` and `removed` since `derived` was fixed (the store
+  // already reflects both), on the derived tier in place:
+  //  1. over-delete (DRed, Gupta, Mumick & Subrahmanian, SIGMOD 1993):
+  //     seed-first rounds pinned on the removed facts, then on each
+  //     round's new deletions, collect every derived fact with a
+  //     derivation that may have used one. Bodies join against a
+  //     superset of the old closure (store ∪ derived ∪ removed), which
+  //     can only over-delete;
+  //  2. erase the over-deleted facts, plus any added fact the tier had
+  //     already derived (it moves to the asserted tier), in one EraseRun
+  //     — which renews the tier's history(), so a compaction plan pinned
+  //     before it cannot resurrect an erased fact;
+  //  3. rederive: reinsert every over-deleted or removed fact with a
+  //     one-step derivation from what survived, then run semi-naive
+  //     rounds seeded with those facts and the added ones.
+  // With nothing removed this is the plain semi-naive continuation. The
+  // result equals ComputeClosure from scratch provided the rules and
+  // the class relationships did not change (caller-checked).
+  // Preconditions: `added` and `removed` are SRT-sorted, duplicate-free
+  // and disjoint; every added fact is asserted and no removed one is
+  // (FailedPrecondition otherwise); the strategy is kSemiNaive. `stats`
+  // is the seed closure's stats, accumulated into. Virtual-only rules
+  // do not fire again (they fired when the seed was computed); they
+  // still count in the rederivation check.
   StatusOr<std::unique_ptr<Closure>> ExtendClosure(
       const std::vector<Rule>& rules, DeltaIndex derived, ClosureStats stats,
-      std::vector<Fact> new_facts,
+      std::vector<Fact> added, std::vector<Fact> removed,
       const ClosureOptions& options = ClosureOptions()) const;
 
  private:

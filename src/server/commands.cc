@@ -350,9 +350,13 @@ StatusOr<std::string> ServerSession::RenderStats() {
   out += "asserted facts: " + std::to_string(db.store().size()) + "\n";
   auto view = db.View();
   if (view.ok() && db.closure_stats() != nullptr) {
-    out += "derived facts:  " +
-           std::to_string(db.closure_stats()->derived_facts) + " (in " +
-           std::to_string(db.closure_stats()->rounds) + " rounds)\n";
+    const ClosureStats& cs = *db.closure_stats();
+    out += "derived facts:  " + std::to_string(cs.derived_facts) + " (in " +
+           std::to_string(cs.rounds) + " rounds)\n";
+    out += "closure maintenance: " + std::to_string(cs.full_recomputes) +
+           " full recomputes, " + std::to_string(cs.extensions) +
+           " extensions, " + std::to_string(cs.retract_maintenances) +
+           " retract maintenances\n";
   }
   auto mem = db.MemoryUsage();
   if (mem.ok()) {

@@ -242,8 +242,7 @@ class SharedStore {
   // overlays into one CSR generation per tier, publishing the swap as an
   // ordinary (record-free) commit. Works on primaries and followers
   // alike — compaction writes no WAL records, so shipped bytes are
-  // unchanged and each side compacts independently. FailedPrecondition
-  // on incremental-maintenance stores (different derived representation).
+  // unchanged and each side compacts independently.
   Status EnableCompaction(const CompactionOptions& options = {});
   // Stops and joins the merge thread (idempotent; also run by ~SharedStore).
   void StopCompaction();

@@ -23,8 +23,8 @@
 //    epochs for free and a background compactor can pin them, build one
 //    merged CSR generation off-thread, and SwapMergedPrefix it in with an
 //    identity-checked CAS (see store/compactor.h).
-//  - EraseRun (retraction, asserted tier only: the closure is monotone
-//    and is recomputed after a retraction) never mutates a segment: it
+//  - EraseRun (a retraction from the asserted tier, or the closure's
+//    delete-and-rederive on the derived tier) never mutates a segment: it
 //    rebuilds each segment holding any of the run's facts once,
 //    copy-on-write, in linear time (FrozenIndex::Without), and swaps the
 //    new pointer into this index's list only. Epochs still holding the

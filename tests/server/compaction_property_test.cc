@@ -95,8 +95,8 @@ TEST(CompactionPropertyTest, RandomInterleavingsMatchNeverCompactedTwin) {
         ASSERT_TRUE(CommitBatch(&reference, batch, names).ok());
         asserted.insert(asserted.end(), batch.begin(), batch.end());
       } else if (roll < 8) {
-        // Retraction: poisons the incremental-closure path, forcing the
-        // recompute fallback to coexist with compaction.
+        // Retraction: delete-and-rederive erases from the derived tier,
+        // which must coexist with compaction.
         const Fact victim = asserted[rng.Uniform(asserted.size())];
         for (SharedStore* s : {&compacted, &reference}) {
           auto committed = s->Commit([&](LooseDb& db) {

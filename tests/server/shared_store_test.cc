@@ -2,12 +2,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "server/protocol.h"
+#include "server/session.h"
 #include "workload/university_domain.h"
 
 namespace lsd {
@@ -351,6 +354,80 @@ TEST(SharedStoreTest, FailingSlotDoesNotPoisonItsGroup) {
   // group, so coalescing really happened.
   EXPECT_GE(stats.max_group, 2u);
   EXPECT_LE(stats.groups, 2u);
+}
+
+// Every rule change publishes, however many came before it: a commit
+// clone adopts the tip's rules clock, so a second toggle is not taken
+// for a no-op.
+TEST(SharedStoreTest, RepeatedRuleTogglesAllPublish) {
+  SharedStore store;
+  for (bool enabled : {false, true, false}) {
+    auto committed = store.Commit([enabled](LooseDb& db) {
+      return db.SetRuleEnabled("mem-source", enabled);
+    });
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+    EXPECT_EQ(store.snapshot()->db().IsRuleEnabled("mem-source"), enabled);
+  }
+  EXPECT_EQ(store.commits(), 3u);
+}
+
+// Commits maintain the tip's closure: retracts, re-asserts of derived
+// facts and mixed batch mutations never recompute it from scratch; only
+// a class-relationship mark (which changes what the rules may match)
+// does. The tallies travel with the closure from epoch to epoch.
+TEST(SharedStoreTest, CommitsMaintainTheClosureWithoutRecomputing) {
+  SharedStore store;
+  ASSERT_TRUE(store
+                  .Commit([](LooseDb& db) {
+                    workload::BuildCampusDomain(&db);
+                    db.Assert("A", "ISA", "B");
+                    db.Assert("B", "ISA", "C");
+                    db.Assert("TOM", "LIKES", "CS100");
+                    return Status::OK();
+                  })
+                  .ok());
+  auto stats = [&store] {
+    return *store.snapshot()->db().closure_stats();
+  };
+  auto commit = [&store](std::function<void(LooseDb&)> fn) {
+    auto committed = store.Commit([&fn](LooseDb& db) {
+      fn(db);
+      return Status::OK();
+    });
+    ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  };
+  const ClosureStats before = stats();
+  EXPECT_EQ(before.full_recomputes, 1u);
+
+  // A retract commit.
+  commit([](LooseDb& db) {
+    ASSERT_TRUE(db.Retract("TOM", "LIKES", "CS100").ok());
+  });
+  EXPECT_EQ(stats().full_recomputes, before.full_recomputes);
+  EXPECT_EQ(stats().retract_maintenances, before.retract_maintenances + 1);
+
+  // A re-assert of a derived fact.
+  const size_t derived = stats().derived_facts;
+  commit([](LooseDb& db) { db.Assert("A", "ISA", "C"); });
+  EXPECT_EQ(stats().full_recomputes, before.full_recomputes);
+  EXPECT_EQ(stats().derived_facts, derived - 1);
+
+  // A mixed kMutation batch.
+  ServerSession session(1, &store);
+  const std::vector<MutationOp> ops = {{false, "SUE", "LIKES", "CS100"},
+                                       {true, "A", "ISA", "B"},
+                                       {false, "B", "ISA", "D"},
+                                       {true, "SUE", "LIKES", "CS100"}};
+  auto reply = session.ExecuteBatchMutation(EncodeMutationPayload(ops));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(stats().full_recomputes, before.full_recomputes);
+  EXPECT_EQ(stats().retract_maintenances, before.retract_maintenances + 2);
+
+  // A class-relationship assert does recompute.
+  commit([](LooseDb& db) { db.Assert("LIKES", "IN", "CLASS-REL"); });
+  EXPECT_EQ(stats().full_recomputes, before.full_recomputes + 1);
+  // The tallies survive the recompute.
+  EXPECT_EQ(stats().retract_maintenances, before.retract_maintenances + 2);
 }
 
 }  // namespace

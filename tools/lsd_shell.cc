@@ -132,9 +132,12 @@ void DoStats(LooseDb& db, const ShellGovernance& gov) {
   std::printf("asserted facts: %zu\n", db.store().size());
   auto view = db.View();
   if (view.ok() && db.closure_stats() != nullptr) {
-    std::printf("derived facts:  %zu (in %zu rounds)\n",
-                db.closure_stats()->derived_facts,
-                db.closure_stats()->rounds);
+    const lsd::ClosureStats& cs = *db.closure_stats();
+    std::printf("derived facts:  %zu (in %zu rounds)\n", cs.derived_facts,
+                cs.rounds);
+    std::printf("closure maintenance: %zu full recomputes, %zu extensions, "
+                "%zu retract maintenances\n",
+                cs.full_recomputes, cs.extensions, cs.retract_maintenances);
   }
   auto mem = db.MemoryUsage();
   if (mem.ok()) {
