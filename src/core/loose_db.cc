@@ -266,11 +266,14 @@ StatusOr<const ClosureView*> LooseDb::View() const {
   }
   // Maintenance (the serving path's common case): when the only change
   // since the cached closure is a known list of fact events, fold
-  // exactly those into clones of the cached tiers instead of
-  // recomputing from scratch. The version arithmetic proves the list is
-  // complete; mutations that bypass it bump the version without growing
-  // it and fail the check. A failure leaves `closure_` and the list
-  // untouched (the work ran on clones), so the next View() retries.
+  // exactly those into the cached derived tier instead of recomputing
+  // from scratch. The version arithmetic proves the list is complete;
+  // mutations that bypass it bump the version without growing it and
+  // fail the check. The tier is moved out of the cache, not copied: a
+  // commit clone's tier is already its own (CloneInto copied it), so a
+  // second copy would only buy a retry. A failure therefore drops the
+  // cache (and its maintenance tallies), and the next View() recomputes
+  // from scratch.
   std::vector<Fact> added;
   std::vector<Fact> removed;
   const bool maintain =
@@ -278,11 +281,17 @@ StatusOr<const ClosureView*> LooseDb::View() const {
       store_.version() == closure_store_version_ + closure_delta_.size() &&
       closure_options.strategy == ClosureOptions::Strategy::kSemiNaive &&
       NetChanges(closure_delta_, &added, &removed);
+  auto extend = [&] {
+    const ClosureStats stats = closure_->stats();
+    DeltaIndex derived = std::move(*closure_->mutable_derived());
+    closure_.reset();
+    closure_delta_.clear();
+    return engine_.ExtendClosure(rules_, std::move(derived), stats,
+                                 std::move(added), std::move(removed),
+                                 closure_options);
+  };
   StatusOr<std::unique_ptr<Closure>> next =
-      maintain ? engine_.ExtendClosure(rules_, closure_->derived().Clone(),
-                                       closure_->stats(), std::move(added),
-                                       std::move(removed), closure_options)
-               : engine_.ComputeClosure(rules_, closure_options);
+      maintain ? extend() : engine_.ComputeClosure(rules_, closure_options);
   if (!next.ok()) return next.status();
   if (!maintain && closure_ != nullptr) {
     // The maintenance tallies outlive the closure they describe.

@@ -320,13 +320,15 @@ class LooseDb {
   // the dropped durability so shells and servers can warn.
   const Status& wal_status() const { return wal_error_; }
 
-  // Governs the lazy closure recompute inside View(): while set, a
-  // rebuild runs under `budget` and a trip makes View() fail with the
-  // budget's typed error (the stale closure cache is left untouched and
-  // the next View() simply retries). ONLY safe on a database owned by a
-  // single thread — the serving layer sets it on session-private overlay
-  // clones, never on shared epochs (whose closures are Warm()ed before
-  // publish and thus never recompute under readers).
+  // Governs the lazy closure maintenance inside View(): while set, an
+  // extension or rebuild runs under `budget` and a trip makes View()
+  // fail with the budget's typed error (a tripped extension has consumed
+  // the cached closure, so the next View() recomputes from scratch; a
+  // tripped rebuild leaves the stale cache as it was). ONLY safe on a
+  // database owned by a single thread — the serving layer sets it on
+  // session-private overlay clones, never on shared epochs (whose
+  // closures are Warm()ed before publish and thus never recompute under
+  // readers).
   void set_read_budget(const QueryBudget* budget) { read_budget_ = budget; }
   const QueryBudget* read_budget() const { return read_budget_; }
 

@@ -1,7 +1,9 @@
 #include "rules/rule_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <iterator>
 #include <thread>
 #include <utility>
@@ -22,9 +24,114 @@ bool IsVirtualAtom(const Template& t) {
          MathProvider::IsComparator(t.relationship.entity());
 }
 
-// Below this many delta facts per worker a round stays on the calling
-// thread: spawning would cost more than the match work it distributes.
-constexpr size_t kMinFactsPerWorker = 64;
+// Delta facts per chunk. Workers claim chunks from a shared cursor, so
+// an id range dense in matches (one domain's facts) spreads over every
+// worker instead of landing in one contiguous slice. Below one chunk per
+// worker a round stays on the calling thread: spawning would cost more
+// than the match work it distributes.
+constexpr size_t kChunkFacts = 64;
+
+// Where a pin's single remaining atom is keyed: the KeyFilter slot of its
+// constant relationship (-1: not keyed) and which of its source/target
+// positions hold a value once the pin is unified.
+struct RestKey {
+  int slot = -1;
+  bool source = false;
+  bool target = false;
+};
+
+// Key-presence filter. Most residual probes of a seed-first round find
+// nothing: a delta fact (S, R, T) tries every generalization rule, yet
+// most S have no ISA, IN or SYN facts, and each such probe still fans out
+// over every tier of the source. For each relationship R that some pin's
+// single remaining atom names as a constant (non-comparator) with a
+// position bound by the pin, the filter keeps one bitset over entity ids
+// per such position, set for every fact (?, R, ?) of the atoms' source;
+// a probe whose key bit is clear provably matches nothing and is skipped.
+//
+// A relationship's bitsets are built (Prepare) only when the round's
+// delta size times the pins keyed on R is at least R's fact count, so a
+// one-fact extension never pays O(|R|); once built they follow every
+// round installed into the source (Record). Read-only while workers run.
+class KeyFilter {
+ public:
+  explicit KeyFilter(const FactSource* source) : source_(source) {}
+
+  // The key of a pin's remaining atom with constant relationship `rel`.
+  RestKey Register(EntityId rel, bool source_bound, bool target_bound) {
+    if (!source_bound && !target_bound) return RestKey();
+    size_t slot = 0;
+    while (slot < keyed_.size() && keyed_[slot].rel != rel) ++slot;
+    if (slot == keyed_.size()) keyed_.emplace_back().rel = rel;
+    Keyed& k = keyed_[slot];
+    ++k.pins;
+    k.want[0] = k.want[0] || source_bound;
+    k.want[1] = k.want[1] || target_bound;
+    return RestKey{static_cast<int>(slot), source_bound, target_bound};
+  }
+
+  // Builds the bitsets the cost rule admits for a round of `delta_size`
+  // seeds (EstimateMatches is O(segments) on the stored tiers).
+  void Prepare(size_t delta_size) {
+    for (Keyed& k : keyed_) {
+      if (k.built) continue;
+      const Pattern all(kAnyEntity, k.rel, kAnyEntity);
+      if (delta_size * k.pins < source_->EstimateMatches(all)) continue;
+      source_->ForEach(all, [&k](const Fact& f) {
+        k.Add(f);
+        return true;
+      });
+      k.built = true;
+    }
+  }
+
+  // Follows facts installed into the source since Prepare.
+  void Record(const std::vector<Fact>& installed) {
+    for (Keyed& k : keyed_) {
+      if (!k.built) continue;
+      for (const Fact& f : installed) {
+        if (f.relationship == k.rel) k.Add(f);
+      }
+    }
+  }
+
+  // True if the probe `p` of a remaining atom keyed by `key` provably
+  // matches nothing.
+  bool Absent(const RestKey& key, const Pattern& p) const {
+    if (key.slot < 0) return false;
+    const Keyed& k = keyed_[key.slot];
+    if (!k.built) return false;
+    return (key.source && !Test(k.bits[0], p.source)) ||
+           (key.target && !Test(k.bits[1], p.target));
+  }
+
+ private:
+  struct Keyed {
+    EntityId rel = kAnyEntity;
+    size_t pins = 0;
+    bool want[2] = {false, false};  // source, target
+    bool built = false;
+    std::vector<uint64_t> bits[2];
+
+    void Add(const Fact& f) {
+      if (want[0]) Set(&bits[0], f.source);
+      if (want[1]) Set(&bits[1], f.target);
+    }
+  };
+
+  static bool Test(const std::vector<uint64_t>& bits, EntityId e) {
+    const size_t w = e / 64;
+    return w < bits.size() && ((bits[w] >> (e % 64)) & 1) != 0;
+  }
+  static void Set(std::vector<uint64_t>* bits, EntityId e) {
+    const size_t w = e / 64;
+    if (w >= bits->size()) bits->resize(w + 1, 0);
+    (*bits)[w] |= uint64_t{1} << (e % 64);
+  }
+
+  const FactSource* source_;
+  std::vector<Keyed> keyed_;
+};
 
 // One rule prepared for seed-first matching: for every non-virtual
 // ("pinnable") body atom, the prebuilt specs of the remaining atoms,
@@ -38,6 +145,8 @@ struct PinnedRule {
   // binding (single atom with a concrete, non-comparator relationship),
   // so the per-seed Enumerable probe can be skipped.
   std::vector<uint8_t> rest_enumerable;
+  // rest_key[k]: the KeyFilter key of that single atom.
+  std::vector<RestKey> rest_key;
 };
 
 // Everything a round's match reads. All pointees are immutable while
@@ -45,7 +154,7 @@ struct PinnedRule {
 // single-threaded between rounds.
 struct RoundContext {
   const std::vector<PinnedRule>* prules;
-  const FactStore* store;
+  const KeyFilter* keys;
   const MathProvider* math;
   const DeltaIndex* base;
   const DeltaIndex* derived;
@@ -60,11 +169,13 @@ struct RoundContext {
   const QueryBudget* budget = nullptr;
 };
 
-// Output buffer of one worker (or of the sequential path). Candidates
-// may repeat within and across workers; the round merge deduplicates.
+// Output buffer of one worker (or of a one-shot full-rule match).
+// Candidates may repeat until the worker sorts and deduplicates them.
 struct WorkerResult {
   std::vector<Fact> candidates;
   size_t candidate_facts = 0;
+  size_t probes = 0;
+  size_t probes_skipped = 0;
   Status status;
 };
 
@@ -172,15 +283,15 @@ Status MatchFullRule(const RoundContext& ctx, const Rule& rule,
 }
 
 // Joins the single remaining body atom against its source under the
-// seed binding, calling `derive` for every admissible extension. This is
-// the dominant shape (every standard rule has a body of one or two
-// atoms), so it bypasses MatchRec's atom-selection scan and runs
-// allocation-free per seed.
+// seed binding (`p` is the atom bound by it), calling `derive` for every
+// admissible extension. This is the dominant shape (every standard rule
+// has a body of one or two atoms), so it bypasses MatchRec's
+// atom-selection scan and runs allocation-free per seed.
 template <typename HeadFn>
-Status MatchSingleRest(const AtomSpec& atom, bool always_enumerable,
-                       Binding& binding, const FilterFn& filter,
-                       const HeadFn& derive, BudgetTicker& ticker) {
-  const Pattern p = atom.tmpl.Bind(binding);
+Status MatchSingleRest(const AtomSpec& atom, const Pattern& p,
+                       bool always_enumerable, Binding& binding,
+                       const FilterFn& filter, const HeadFn& derive,
+                       BudgetTicker& ticker) {
   if (!always_enumerable && p.BoundCount() < 3 &&
       !atom.source->Enumerable(p)) {
     return Status::InvalidArgument(
@@ -222,30 +333,29 @@ Status MatchSingleRest(const AtomSpec& atom, bool always_enumerable,
   return budget_status;
 }
 
-// Seed-first semi-naive match of one contiguous slice of the round's
-// delta: each delta fact is unified into each pinnable atom, then the
-// remaining atoms join against the snapshot, and HeadFn (DeriveFn or
-// OverDeleteFn) takes every admissible binding. Reads only the
-// RoundContext snapshot; writes only into `out`, so slices run
-// concurrently.
+// Seed-first semi-naive match of one chunk of the round's delta: each
+// delta fact is unified into each pinnable atom, then the remaining atoms
+// join against the snapshot, and HeadFn (DeriveFn or OverDeleteFn) takes
+// every admissible binding. Reads only the RoundContext snapshot; writes
+// only into `out`, so chunks run concurrently. `ticker` is the worker's,
+// kept across its chunks.
 template <typename HeadFn>
 void MatchDeltaSlice(const RoundContext& ctx, const Fact* facts, size_t n,
-                     WorkerResult* out) {
-  BudgetTicker ticker(ctx.budget);
+                     BudgetTicker& ticker, WorkerResult* out) {
   for (const PinnedRule& pr : *ctx.prules) {
     const Rule& rule = *pr.rule;
     FilterFn filter = MakeFilterFn(ctx, rule);
     HeadFn derive(ctx, rule, out);
     // Type-erased wrappers, needed only by the general (>= 2 rest atoms)
-    // path; built lazily since no standard rule takes it.
+    // path; built lazily since few rules take it.
     VarFilter vf;
     BindingVisitor bv;
+    Binding binding(rule.num_vars());
     for (size_t k = 0; k < pr.pins.size(); ++k) {
       const Template& pin = rule.body[pr.pins[k]];
       const std::vector<AtomSpec>& rest = pr.rest[k];
       VarId pin_vars[3];
       const size_t num_pin_vars = pin.CollectVars(pin_vars);
-      Binding binding(rule.num_vars());
       for (size_t fi = 0; fi < n; ++fi) {
         if (!ticker.TickOk()) {
           out->status = ticker.trip();
@@ -267,9 +377,16 @@ void MatchDeltaSlice(const RoundContext& ctx, const Fact* facts, size_t n,
           if (rest.empty()) {
             derive(binding);
           } else if (rest.size() == 1) {
-            s = MatchSingleRest(rest[0], pr.rest_enumerable[k] != 0,
-                                binding, filter, derive, ticker);
+            ++out->probes;
+            const Pattern p = rest[0].tmpl.Bind(binding);
+            if (ctx.keys->Absent(pr.rest_key[k], p)) {
+              ++out->probes_skipped;
+            } else {
+              s = MatchSingleRest(rest[0], p, pr.rest_enumerable[k] != 0,
+                                  binding, filter, derive, ticker);
+            }
           } else {
+            ++out->probes;
             if (!bv) {
               bv = BindingVisitor(derive);
               if (filter.active) vf = VarFilter(filter);
@@ -304,10 +421,12 @@ std::vector<uint8_t> ClassRelMap(const FactStore& store) {
 }
 
 // Prepares the seed-first plans of the enabled rules, every remaining
-// atom joined against `full`; rules with no pinnable atom go to
-// `virtual_only` (they fire at most once, in round 1 of a fresh closure).
+// atom joined against `full` and every keyable single remaining atom
+// registered with `keys` (a filter over `full`); rules with no pinnable
+// atom go to `virtual_only` (they fire at most once, in round 1 of a
+// fresh closure).
 void PrepareRules(const std::vector<Rule>& rules, const FactSource* full,
-                  std::vector<PinnedRule>* prules,
+                  KeyFilter* keys, std::vector<PinnedRule>* prules,
                   std::vector<const Rule*>* virtual_only) {
   for (const Rule& rule : rules) {
     if (!rule.enabled) continue;
@@ -325,6 +444,22 @@ void PrepareRules(const std::vector<Rule>& rules, const FactSource* full,
           rest.size() == 1 && !IsVirtualAtom(rest[0].tmpl) &&
           rest[0].tmpl.relationship.is_entity();
       pr.rest_enumerable.push_back(enumerable ? 1 : 0);
+      RestKey key;
+      if (enumerable) {
+        // A position is bound once the pin is unified iff it holds a
+        // constant or one of the pin's variables.
+        VarId pin_vars[3];
+        const size_t num_pin_vars = rule.body[i].CollectVars(pin_vars);
+        auto bound = [&](const Term& t) {
+          return t.is_entity() ||
+                 std::find(pin_vars, pin_vars + num_pin_vars, t.var()) !=
+                     pin_vars + num_pin_vars;
+        };
+        const Template& atom = rest[0].tmpl;
+        key = keys->Register(atom.relationship.entity(), bound(atom.source),
+                             bound(atom.target));
+      }
+      pr.rest_key.push_back(key);
       pr.rest.push_back(std::move(rest));
     }
     if (pr.pins.empty()) {
@@ -335,47 +470,7 @@ void PrepareRules(const std::vector<Rule>& rules, const FactSource* full,
   }
 }
 
-// One seed-first round over `delta`: partitions it across up to
-// `num_threads` workers, each running MatchDeltaSlice<HeadFn>, and
-// appends every worker's candidates to `out` in worker order (a
-// deterministic merge; duplicates remain). Adds the workers used to
-// `stats`.
-template <typename HeadFn>
-Status MatchRound(const RoundContext& ctx, const std::vector<Fact>& delta,
-                  size_t num_threads, ClosureStats* stats,
-                  WorkerResult* out) {
-  const size_t n = delta.size();
-  const size_t workers =
-      std::max<size_t>(1, std::min(num_threads, n / kMinFactsPerWorker));
-  stats->workers = std::max(stats->workers, workers);
-  if (workers == 1) {
-    MatchDeltaSlice<HeadFn>(ctx, delta.data(), n, out);
-    return out->status;
-  }
-  std::vector<WorkerResult> results(workers);
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  const size_t chunk = (n + workers - 1) / workers;
-  const Fact* facts = delta.data();
-  for (size_t w = 1; w < workers; ++w) {
-    const size_t begin = std::min(n, w * chunk);
-    const size_t count = std::min(n - begin, chunk);
-    threads.emplace_back([&ctx, &results, facts, begin, count, w] {
-      MatchDeltaSlice<HeadFn>(ctx, facts + begin, count, &results[w]);
-    });
-  }
-  MatchDeltaSlice<HeadFn>(ctx, facts, std::min(n, chunk), &results[0]);
-  for (std::thread& t : threads) t.join();
-  for (WorkerResult& r : results) {
-    LSD_RETURN_IF_ERROR(r.status);
-    out->candidate_facts += r.candidate_facts;
-    out->candidates.insert(out->candidates.end(), r.candidates.begin(),
-                           r.candidates.end());
-  }
-  return Status::OK();
-}
-
-// Sorts and deduplicates a round's candidates.
+// Sorts and deduplicates candidates.
 void SortUnique(std::vector<Fact>* facts) {
   std::sort(facts->begin(), facts->end(), OrderSrt());
   facts->erase(std::unique(facts->begin(), facts->end()), facts->end());
@@ -389,6 +484,62 @@ std::vector<Fact> SortedUnion(const std::vector<Fact>& a,
   std::set_union(a.begin(), a.end(), b.begin(), b.end(),
                  std::back_inserter(out), OrderSrt());
   return out;
+}
+
+// One seed-first round over `delta`: up to `num_threads` workers (the
+// calling thread among them) claim kChunkFacts-sized chunks from a shared
+// cursor and run MatchDeltaSlice<HeadFn> on each, keeping one
+// BudgetTicker across their chunks. Each worker then sorts and
+// deduplicates its own candidates, and `out` receives the union of those
+// runs (SRT-sorted, duplicate-free), each run freed once merged. A
+// failing worker stops the others at their next chunk, and the round
+// returns the first failure in worker order. Adds the workers used and
+// the match counts to `stats`.
+template <typename HeadFn>
+Status MatchRound(const RoundContext& ctx, const std::vector<Fact>& delta,
+                  size_t num_threads, ClosureStats* stats,
+                  std::vector<Fact>* out) {
+  const size_t n = delta.size();
+  const size_t workers =
+      std::max<size_t>(1, std::min(num_threads, n / kChunkFacts));
+  stats->workers = std::max(stats->workers, workers);
+  std::vector<WorkerResult> results(workers);
+  std::atomic<size_t> cursor{0};
+  std::atomic<bool> stop{false};
+  auto work = [&ctx, &delta, &cursor, &stop, n](WorkerResult* r) {
+    BudgetTicker ticker(ctx.budget);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const size_t begin =
+          cursor.fetch_add(kChunkFacts, std::memory_order_relaxed);
+      if (begin >= n) break;
+      MatchDeltaSlice<HeadFn>(ctx, delta.data() + begin,
+                              std::min(kChunkFacts, n - begin), ticker, r);
+      if (!r->status.ok()) {
+        stop.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+    SortUnique(&r->candidates);
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (size_t w = 1; w < workers; ++w) {
+    threads.emplace_back(work, &results[w]);
+  }
+  work(&results[0]);
+  for (std::thread& t : threads) t.join();
+  for (const WorkerResult& r : results) {
+    LSD_RETURN_IF_ERROR(r.status);
+    stats->candidate_facts += r.candidate_facts;
+    stats->probes += r.probes;
+    stats->probes_skipped += r.probes_skipped;
+  }
+  *out = std::move(results[0].candidates);
+  for (size_t w = 1; w < workers; ++w) {
+    const std::vector<Fact> run = std::move(results[w].candidates);
+    if (!run.empty()) *out = SortedUnion(*out, run);
+  }
+  return Status::OK();
 }
 
 // ExtendClosure step 3's test: the candidates (SRT-sorted) that a
@@ -504,32 +655,33 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::ExtendClosure(
     const size_t num_threads =
         options.num_threads == 0 ? UsableCpus() : options.num_threads;
     const std::vector<uint8_t> class_rel = ClassRelMap(*store_);
-    RoundContext ctx{nullptr,  store_,     math_,         &base,
-                     &derived, &class_rel, options.budget};
 
-    // 1. Over-delete, joining against store ∪ derived ∪ removed.
+    // 1. Over-delete, joining against store ∪ derived ∪ removed. The key
+    // filter reads the same union: a removed fact may be the only match
+    // of a probe that over-deletes.
     DeltaIndex removed_tier;
     removed_tier.InsertRun(removed);
     UnionSource pre({&base, &derived, &removed_tier, math_});
+    KeyFilter keys(&pre);
     std::vector<PinnedRule> prules;
     std::vector<const Rule*> virtual_only;  // never pinned on a deletion
-    PrepareRules(rules, &pre, &prules, &virtual_only);
-    ctx.prules = &prules;
+    PrepareRules(rules, &pre, &keys, &prules, &virtual_only);
+    RoundContext ctx{&prules,  &keys,      math_,         &base,
+                     &derived, &class_rel, options.budget};
     std::vector<Fact> deleted;
     std::vector<Fact> delta = removed;
     while (!delta.empty()) {
       if (options.budget != nullptr) {
         LSD_RETURN_IF_ERROR(options.budget->Check());
       }
-      WorkerResult round;
+      keys.Prepare(delta.size());
+      std::vector<Fact> found;
       LSD_RETURN_IF_ERROR(MatchRound<OverDeleteFn>(ctx, delta, num_threads,
-                                                   &stats, &round));
-      stats.candidate_facts += round.candidate_facts;
-      SortUnique(&round.candidates);
+                                                   &stats, &found));
       delta.clear();
-      std::set_difference(round.candidates.begin(), round.candidates.end(),
-                          deleted.begin(), deleted.end(),
-                          std::back_inserter(delta), OrderSrt());
+      std::set_difference(found.begin(), found.end(), deleted.begin(),
+                          deleted.end(), std::back_inserter(delta),
+                          OrderSrt());
       deleted = SortedUnion(deleted, delta);
     }
 
@@ -567,15 +719,15 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
   const DeltaIndex& base = store_->base();
   UnionSource full({&base, &derived, math_});
   const std::vector<uint8_t> class_rel = ClassRelMap(*store_);
-  RoundContext ctx{nullptr,  store_,     math_,         &base,
-                   &derived, &class_rel, options.budget};
+  KeyFilter keys(&full);
 
   // Prepare the seed-first plans; rules with no pinnable atom fire (at
   // most) once, in round 1.
   std::vector<PinnedRule> prules;
   std::vector<const Rule*> virtual_only;
-  if (semi_naive) PrepareRules(rules, &full, &prules, &virtual_only);
-  ctx.prules = &prules;
+  if (semi_naive) PrepareRules(rules, &full, &keys, &prules, &virtual_only);
+  RoundContext ctx{&prules,  &keys,      math_,         &base,
+                   &derived, &class_rel, options.budget};
 
   bool first_round = true;
   // `stats.rounds` accumulates across a seed closure and its extensions;
@@ -593,33 +745,39 @@ StatusOr<std::unique_ptr<Closure>> RuleEngine::RunFixpoint(
       LSD_RETURN_IF_ERROR(options.budget->Check());
     }
 
-    WorkerResult round;
+    // The round's new facts, SRT-sorted and duplicate-free (the same
+    // fact may be derived along several paths).
+    std::vector<Fact> merged;
     if (!semi_naive) {
+      WorkerResult round;
       for (const Rule& rule : rules) {
         if (!rule.enabled) continue;
         LSD_RETURN_IF_ERROR(MatchFullRule(ctx, rule, full, &round));
       }
+      stats.candidate_facts += round.candidate_facts;
+      merged = std::move(round.candidates);
+      SortUnique(&merged);
     } else {
-      if (first_round && fire_virtual_only) {
-        for (const Rule* rule : virtual_only) {
-          LSD_RETURN_IF_ERROR(MatchFullRule(ctx, *rule, full, &round));
-        }
-      }
+      keys.Prepare(delta_facts.size());
       LSD_RETURN_IF_ERROR(MatchRound<DeriveFn>(ctx, delta_facts, num_threads,
-                                               &stats, &round));
+                                               &stats, &merged));
+      if (first_round && fire_virtual_only && !virtual_only.empty()) {
+        WorkerResult once;
+        for (const Rule* rule : virtual_only) {
+          LSD_RETURN_IF_ERROR(MatchFullRule(ctx, *rule, full, &once));
+        }
+        stats.candidate_facts += once.candidate_facts;
+        SortUnique(&once.candidates);
+        merged = SortedUnion(merged, once.candidates);
+      }
     }
-    stats.candidate_facts += round.candidate_facts;
-
-    // Dedup candidates (the same fact may be derived along several
-    // paths, possibly in different workers) and install the round.
-    std::vector<Fact> merged = std::move(round.candidates);
-    SortUnique(&merged);
     if (merged.empty()) break;
     // InsertRun appends an L0 segment (or overlay facts) plus a bounded
     // geometric tail-merge — never a full rebuild, so the commit path no
     // longer stalls when the derived set crosses a size threshold;
     // merging generations down is the background compactor's job.
     derived.InsertRun(merged);
+    keys.Record(merged);
     if (derived.size() > options.max_derived_facts) {
       return Status::OutOfRange(
           "closure exceeded max_derived_facts (" +

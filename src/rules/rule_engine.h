@@ -7,13 +7,15 @@
 // strategy (re-match everything each round) is kept as the experiment E1
 // baseline.
 //
-// The semi-naive round is seed-first and parallel: the round's delta
-// facts are partitioned across worker threads, each worker unifies every
-// delta fact with every pinnable body atom and joins the remaining atoms
-// against a read-only snapshot (the store's generational index + the
-// generational derived index), accumulating candidates in a thread-local
-// buffer; a single-threaded merge then deduplicates and installs the new
-// facts.
+// The semi-naive round is seed-first and parallel: worker threads claim
+// fixed-size chunks of the round's delta from a shared cursor, unify
+// every delta fact with every pinnable body atom and join the remaining
+// atoms against a read-only snapshot (the store's generational index +
+// the generational derived index). Each worker sorts and deduplicates its
+// own candidates; the round's output is the linear union of those runs.
+// A key-presence filter (one bitset over entity ids per relationship and
+// position) skips the probes of a single remaining atom that provably
+// match nothing.
 // The derived set is identical for every thread count, including 1.
 //
 // Facts whose relationship is a virtual comparator are special-cased on
@@ -68,6 +70,12 @@ struct ClosureStats {
   // not the result, so they vary with thread count and machine.
   size_t workers = 0;
   double ms = 0;
+  // Residual joins started (one per admissible pin unification with a
+  // non-empty remaining body) and those the key-presence filter skipped
+  // because they provably match nothing. Accumulated like `rounds`; both
+  // are independent of the thread count.
+  size_t probes = 0;
+  size_t probes_skipped = 0;
   // How the cached closure was kept current: fixpoints computed from
   // scratch, extensions by asserted facts only, and extensions that also
   // retracted (delete-and-rederive). Unlike the fields above these

@@ -357,6 +357,8 @@ StatusOr<std::string> ServerSession::RenderStats() {
            " full recomputes, " + std::to_string(cs.extensions) +
            " extensions, " + std::to_string(cs.retract_maintenances) +
            " retract maintenances\n";
+    out += "closure probes: " + std::to_string(cs.probes) + " residual, " +
+           std::to_string(cs.probes_skipped) + " skipped by key filter\n";
   }
   auto mem = db.MemoryUsage();
   if (mem.ok()) {

@@ -14,9 +14,13 @@ StatusOr<ServerSession::PinnedDb> ServerSession::Pin() {
     pinned.db = &epoch->db();
     return pinned;
   }
+  // A clone whose closure maintenance failed (a tripped request budget)
+  // has dropped its closure cache; cloning the epoch again restores it,
+  // so the retry is the same extension rather than a full recompute.
   if (overlay_db_ == nullptr ||
       overlay_epoch_sequence_ != epoch->sequence() ||
-      overlay_built_version_ != overlay_version_) {
+      overlay_built_version_ != overlay_version_ ||
+      overlay_db_->closure_stats() == nullptr) {
     LooseDbOptions options = store_->options();
     options.standard_rules = false;
     auto clone = std::make_unique<LooseDb>(options);
@@ -35,10 +39,11 @@ StatusOr<ServerSession::PinnedDb> ServerSession::Pin() {
   }
   // No Warm(): the overlay db is private to this session's thread, so
   // its caches may fill lazily like any single-user LooseDb. That lazy
-  // fill (a whole-closure rebuild) is exactly the expensive read the
-  // request budget must govern — safe here precisely because the clone
-  // is single-thread-owned (a tripped rebuild leaves the stale cache
-  // untouched; the next request's View() simply retries).
+  // fill (the extension by the hypotheses, or a whole-closure rebuild)
+  // is exactly the expensive read the request budget must govern — safe
+  // here precisely because the clone is single-thread-owned (a tripped
+  // fill drops the clone's closure cache, and the next request clones
+  // the epoch again and retries).
   overlay_db_->set_read_budget(budget_);
   pinned.db = overlay_db_.get();
   pinned.overlaid = true;

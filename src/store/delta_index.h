@@ -72,8 +72,7 @@ class DeltaIndex final : public FactSource {
 
   // Explicit copy: segments are immutable and shared by pointer (O(1)
   // per segment); the overlay trees and shadow hash are deep-copied.
-  // This is how closure tiers travel across epochs (LooseDb::CloneInto)
-  // and how a seed survives a failed extension attempt.
+  // This is how closure tiers travel across epochs (LooseDb::CloneInto).
   DeltaIndex Clone() const;
 
   // Inserts into the overlay. Returns true if the fact was in no tier.

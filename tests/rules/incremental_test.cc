@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <iterator>
 #include <string>
@@ -17,6 +18,7 @@
 #include "core/loose_db.h"
 #include "rules/rule_engine.h"
 #include "server/shared_store.h"
+#include "util/budget.h"
 #include "util/random.h"
 
 namespace lsd {
@@ -206,6 +208,31 @@ TEST_F(IncrementalTest, InversionChainMaintained) {
   Retract(inv);
   EXPECT_FALSE(Holds(Fact(E("CS100"), E("TAUGHT-BY"), E("HARRY"))));
   ExpectEquivalentToRecompute();
+}
+
+// A maintenance that trips its budget has consumed the cached tier (View
+// moves it into ExtendClosure rather than copying it): the error reaches
+// the caller, the cache is gone, and the next View() recomputes a closure
+// equal to a fresh one.
+TEST_F(IncrementalTest, BudgetTrippedExtensionRecomputesOnNextView) {
+  std::vector<Fact> members;
+  for (int i = 0; i < 20; ++i) {
+    const std::string level = "L" + std::to_string(i);
+    Assert(level.c_str(), "ISA", ("L" + std::to_string(i + 1)).c_str());
+    members.push_back(db_.Assert(("M" + std::to_string(i)).c_str(), "IN",
+                                 level.c_str()));
+  }
+  ASSERT_TRUE(db_.View().ok());
+  ASSERT_EQ(db_.RetractRun(members), members.size());
+  QueryBudget budget(std::chrono::hours(1), /*max_steps=*/1);
+  db_.set_read_budget(&budget);
+  auto tripped = db_.View();
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(db_.closure_stats(), nullptr);
+  db_.set_read_budget(nullptr);
+  ExpectEquivalentToRecompute();
+  EXPECT_EQ(Stats().full_recomputes, 1u);
 }
 
 // A compaction plan pinned before a retract must not install after it:

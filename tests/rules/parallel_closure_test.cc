@@ -104,13 +104,16 @@ TEST_P(ParallelClosureTest, ThreadCountsAgreeFactForFact) {
         << "num_threads=" << num_threads;
     EXPECT_EQ(DerivedTiers(*parallel), want_tiers)
         << "num_threads=" << num_threads;
-    // The round structure and candidate accounting are deterministic
-    // too, not just the final set.
+    // The round structure, candidate and probe accounting are
+    // deterministic too, not just the final set.
     EXPECT_EQ(parallel->stats().rounds, sequential->stats().rounds);
     EXPECT_EQ(parallel->stats().derived_facts,
               sequential->stats().derived_facts);
     EXPECT_EQ(parallel->stats().candidate_facts,
               sequential->stats().candidate_facts);
+    EXPECT_EQ(parallel->stats().probes, sequential->stats().probes);
+    EXPECT_EQ(parallel->stats().probes_skipped,
+              sequential->stats().probes_skipped);
   }
 }
 

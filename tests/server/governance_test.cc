@@ -229,6 +229,50 @@ TEST(GovernanceShedTest, DegradedShedsExpensiveKeepsCheap) {
       << governed.status().ToString();
 }
 
+// A request whose budget trips while the hypothetical overlay's closure
+// is being extended consumes the clone's cached closure; the next
+// request clones the epoch again and retries the extension (the retract
+// maintenance shows in the tally) instead of recomputing the closure
+// from scratch (which would restart the tally at one full recompute).
+TEST(GovernanceSessionTest, TrippedOverlayExtensionRetriesAsExtension) {
+  SharedStore store;
+  SeedCampus(&store);
+  // Retracting (CLUB, ISA, GROUP) hypothetically over-deletes every
+  // member's derived membership: far more than one ticker stride.
+  auto members = store.Commit([](LooseDb& db) {
+    (void)db.Assert("CLUB", "ISA", "GROUP");
+    for (int i = 0; i < 200; ++i) {
+      (void)db.Assert("MEMBER" + std::to_string(i), "IN", "CLUB");
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(members.ok()) << members.status().ToString();
+  SessionRegistry registry(&store);
+  auto session = registry.Create(8);
+  ASSERT_NE(session, nullptr);
+  const char* kQuery = "query (MEMBER7, IN, ?C)";
+  auto real = session->Execute(kQuery);
+  ASSERT_TRUE(real.ok()) << real.status().ToString();
+  ASSERT_NE(real->find("GROUP"), std::string::npos) << *real;
+  ASSERT_TRUE(session->Execute("hypo retract (CLUB, ISA, GROUP)").ok());
+  QueryBudget capped(std::chrono::hours(1), /*max_steps=*/1);
+  session->set_request_budget(&capped);
+  auto tripped = session->Execute(kQuery);
+  session->set_request_budget(nullptr);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted)
+      << tripped.status().ToString();
+
+  auto stats = session->Execute("stats");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("(+session overlay)"), std::string::npos);
+  EXPECT_EQ(stats->find(" 0 retract maintenances"), std::string::npos)
+      << *stats;
+  auto answer = session->Execute(kQuery);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->find("GROUP"), std::string::npos) << *answer;
+}
+
 // The property test from the issue: a cancelled evaluation must leave
 // the session's trail and hypothetical overlay bit-identical to never
 // having run, across every governed verb.

@@ -336,10 +336,11 @@ int main(int argc, char** argv) {
   const lsd::ClosureStats closure =
       stats != nullptr ? *stats : lsd::ClosureStats();
   std::printf("start-up: %zu facts loaded in %.1f ms; closure %zu rounds, "
-              "%zu derived facts, %zu workers, %.1f ms\n",
+              "%zu derived facts, %zu workers, %.1f ms; %zu probes, "
+              "%zu skipped\n",
               first->db().store().size(), setup_ms - closure.ms,
               closure.rounds, closure.derived_facts, closure.workers,
-              closure.ms);
+              closure.ms, closure.probes, closure.probes_skipped);
   std::printf("lsd_serve listening on 127.0.0.1:%u (max %zu sessions, "
               "epoch %llu, %zu facts)\n",
               server.port(), options.max_sessions,

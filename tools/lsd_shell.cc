@@ -138,6 +138,8 @@ void DoStats(LooseDb& db, const ShellGovernance& gov) {
     std::printf("closure maintenance: %zu full recomputes, %zu extensions, "
                 "%zu retract maintenances\n",
                 cs.full_recomputes, cs.extensions, cs.retract_maintenances);
+    std::printf("closure probes: %zu residual, %zu skipped by key filter\n",
+                cs.probes, cs.probes_skipped);
   }
   auto mem = db.MemoryUsage();
   if (mem.ok()) {
